@@ -5,11 +5,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 
 use cloudtrain::collectives::group::run_on_group;
-use cloudtrain::collectives::hierarchical::hitopk_all_reduce;
+use cloudtrain::collectives::hierarchical::{hitopk_all_reduce, Route};
 use cloudtrain::collectives::rhd::rhd_all_reduce;
 use cloudtrain::collectives::ring::ring_all_reduce;
 use cloudtrain::collectives::torus::torus_all_reduce;
 use cloudtrain::collectives::tree::tree_all_reduce;
+use cloudtrain::collectives::CommScratch;
 use cloudtrain::compress::MsTopK;
 use cloudtrain::tensor::init;
 
@@ -71,7 +72,9 @@ fn bench_collectives(c: &mut Criterion) {
                 run_on_group(WORLD, |peer| {
                     let mut x = data_for(peer.rank(), d);
                     let mut c = MsTopK::new(30, peer.rank() as u64);
-                    hitopk_all_reduce(peer, &mut x, M, N, 0.01, &mut c);
+                    let mut route = Route::new(M, N, 0.01);
+                    let scratch = &mut CommScratch::new();
+                    hitopk_all_reduce(peer, &mut x, &mut route, None, &mut c, None, scratch, None);
                     black_box(x[0])
                 })
             })

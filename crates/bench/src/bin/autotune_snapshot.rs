@@ -8,8 +8,8 @@
 //! the binary twice, `cmp`s the full output, and snapshots
 //! `BENCH_autotune.json`. The traffic-validation rows are the CI teeth:
 //! at every (m, n, k̃) point where the cost model predicts an O(k) win
-//! under overlapping selections, the real `ok_sparse_all_reduce_ef` must
-//! move strictly fewer inter-node bytes than `hitopk_all_reduce_ef` on
+//! under overlapping selections, the real split-merge (O(k)) exchange must
+//! move strictly fewer inter-node bytes than the all-gather exchange on
 //! the same heavy-hitter payloads.
 //!
 //! Output markers: the deterministic section sits between
@@ -17,8 +17,8 @@
 //! `JSON autotune_snapshot {...}` line.
 
 use cloudtrain::collectives::group::run_on_group;
-use cloudtrain::collectives::hierarchical::hitopk_all_reduce_ef;
-use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef;
+use cloudtrain::collectives::hierarchical::{hitopk_all_reduce, Inter, Route};
+use cloudtrain::collectives::CommScratch;
 use cloudtrain::compress::exact::SortTopK;
 use cloudtrain::compress::ErrorFeedback;
 use cloudtrain::engine::autotune::{
@@ -92,10 +92,18 @@ fn measure_traffic(m: usize, n: usize, d: usize, rho: f64) -> (usize, usize, usi
         let mut x = heavy_hitter_vec(peer.rank(), d);
         let mut c = SortTopK;
         let mut ef = ErrorFeedback::new(shard_len);
-        let ok = ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+        let mut run = |x: &mut [f32], inter: Inter, ef: &mut ErrorFeedback| {
+            let mut route = Route {
+                inter,
+                ..Route::new(m, n, rho)
+            };
+            let scratch = &mut CommScratch::new();
+            hitopk_all_reduce(peer, x, &mut route, None, &mut c, Some(ef), scratch, None)
+        };
+        let ok = run(&mut x, Inter::SplitMerge, &mut ef);
         let mut y = heavy_hitter_vec(peer.rank(), d);
         let mut ef2 = ErrorFeedback::new(shard_len);
-        let hi = hitopk_all_reduce_ef(peer, &mut y, m, n, rho, &mut c, &mut ef2);
+        let hi = run(&mut y, Inter::AllGather, &mut ef2);
         (ok.inter_bytes_sent, hi.inter_bytes_sent, ok.k_per_shard)
     });
     reports[0]

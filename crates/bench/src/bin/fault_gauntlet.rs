@@ -88,15 +88,14 @@ fn run_sim(
     (log, sim.makespan(), sim.fault_counters())
 }
 
-/// Collectives-plane checks under the same seed: the resilient HiTopKComm
-/// and O(k) sparse twins complete, ranks agree bitwise, re-runs are
-/// identical, the two twins agree bitwise with each other, and the
+/// Collectives-plane checks under the same seed: the HiTopKComm pipeline
+/// over a retry-ladder link completes with either inter exchange
+/// (all-gather and O(k) split-merge), ranks agree bitwise, re-runs are
+/// identical, the two exchanges agree bitwise with each other, and the
 /// error-feedback ledger conserves mass.
 fn check_collectives(seed: u64) {
-    use cloudtrain::collectives::resilience::{
-        hitopk_all_reduce_ef_resilient, ResiliencePolicy, ResilientPeer,
-    };
-    use cloudtrain::collectives::sparse_allreduce::ok_sparse_all_reduce_ef_resilient;
+    use cloudtrain::collectives::hierarchical::{hitopk_all_reduce, Inter, Route};
+    use cloudtrain::collectives::resilience::{ResiliencePolicy, ResilientPeer};
     use cloudtrain::collectives::{CommFaults, CommScratch};
     use cloudtrain::compress::exact::SortTopK;
     use cloudtrain::tensor::{init, ops};
@@ -108,7 +107,7 @@ fn check_collectives(seed: u64) {
         .straggle(5, 0.7);
     let run = |ok_path: bool| {
         cloudtrain::collectives::group::run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let shard_len = cloudtrain::tensor::partition::shard_for(d, n, peer.rank() % n).len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
@@ -118,29 +117,25 @@ fn check_collectives(seed: u64) {
                 let mut rng =
                     init::rng_from_seed(seed ^ ((peer.rank() as u64) << 8) ^ round as u64);
                 let mut x = init::gradient_like_tensor(d, &mut rng).into_vec();
-                if ok_path {
-                    ok_sparse_all_reduce_ef_resilient(
-                        &mut rp,
-                        &mut x,
-                        m,
-                        n,
-                        0.1,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                } else {
-                    hitopk_all_reduce_ef_resilient(
-                        &mut rp,
-                        &mut x,
-                        m,
-                        n,
-                        0.1,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                }
+                let mut route = Route {
+                    inter: if ok_path {
+                        Inter::SplitMerge
+                    } else {
+                        Inter::AllGather
+                    },
+                    ..Route::new(m, n, 0.1)
+                };
+                let ef = Some(&mut ef);
+                hitopk_all_reduce(
+                    &rp,
+                    &mut x,
+                    &mut route,
+                    None,
+                    &mut c,
+                    ef,
+                    &mut scratch,
+                    None,
+                );
                 ops::add_assign(&mut applied, &x);
             }
             (applied, ef.residual().to_vec(), rp.report())

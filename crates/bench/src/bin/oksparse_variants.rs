@@ -1,27 +1,27 @@
-//! Differential gates for the O(k) sparse allreduce variants: reordered,
-//! deadline-bounded, and quantized-wire.
+//! Differential gates for the O(k) split-merge exchange under three
+//! parameters of the HiTopKComm pipeline: a node order, a deadline link,
+//! and a value codec.
 //!
-//! Each variant ships with an equivalence contract against the plain EF
-//! twin, and this harness checks them end-to-end on a simulated `m * n`
-//! group:
+//! Each parameter ships with an equivalence contract against the plain EF
+//! pipeline, and this harness checks them end-to-end on a simulated
+//! `m * n` group:
 //!
-//! * `ef_reordered` with the identity node order is bitwise identical to
-//!   the plain EF collective (any other order may permute float reduction
+//! * `ef_reordered`: the identity node order is bitwise identical to the
+//!   plain EF pipeline (any other order may permute float reduction
 //!   order, never the selected set);
-//! * `ef_deadline` under a clean plan (generous budget, no jitter) is
-//!   bitwise identical to the plain EF collective and misses nothing;
-//! * `ef_quantized` keeps all replicas bitwise identical, is itself
+//! * `ef_deadline`: a `DeadlinePeer` under a clean plan (generous budget,
+//!   no jitter) is bitwise identical to the plain EF pipeline and misses
+//!   nothing;
+//! * `ef_quantized`: a QSGD codec keeps all replicas bitwise identical, is
 //!   deterministic across two runs, and never charges more inter-node
 //!   bytes than the FP32 split it replaces.
 
-use cloudtrain::collectives::deadline::{DeadlineFaults, DeadlinePolicy};
-use cloudtrain::collectives::sparse_allreduce::{
-    ok_sparse_all_reduce_ef, ok_sparse_all_reduce_ef_deadline, ok_sparse_all_reduce_ef_quantized,
-    ok_sparse_all_reduce_ef_reordered,
-};
-use cloudtrain::collectives::CommScratch;
+use cloudtrain::collectives::deadline::{DeadlineFaults, DeadlinePeer, DeadlinePolicy};
+use cloudtrain::collectives::hierarchical::{hitopk_all_reduce, HiTopKReport, Inter, Route};
+use cloudtrain::collectives::{CommScratch, Link};
 use cloudtrain::compress::exact::SortTopK;
 use cloudtrain::compress::quantize::Qsgd;
+use cloudtrain::compress::quantize::Quantizer;
 use cloudtrain::compress::ErrorFeedback;
 use cloudtrain::prelude::run_on_group;
 use cloudtrain::tensor::partition::shard_for;
@@ -48,12 +48,42 @@ fn shard_len(d: usize, n: usize, rank: usize) -> usize {
     shard_for(d, n, rank % n).len()
 }
 
+/// One EF round of the split-merge pipeline over `link`, optionally with a
+/// node order and a value codec.
+#[allow(clippy::too_many_arguments)]
+fn split_merge_ef(
+    link: &dyn Link,
+    x: &mut [f32],
+    m: usize,
+    n: usize,
+    rho: f64,
+    ef: &mut ErrorFeedback,
+    order: Option<&[usize]>,
+    codec: Option<&mut dyn Quantizer>,
+) -> HiTopKReport {
+    let mut route = Route {
+        inter: Inter::SplitMerge,
+        codec,
+        ..Route::new(m, n, rho)
+    };
+    let scratch = &mut CommScratch::new();
+    hitopk_all_reduce(
+        link,
+        x,
+        &mut route,
+        order,
+        &mut SortTopK,
+        Some(ef),
+        scratch,
+        None,
+    )
+}
+
 fn plain_ef(m: usize, n: usize, d: usize, rho: f64) -> Vec<(Vec<f32>, Vec<f32>)> {
     run_on_group(m * n, move |peer| {
         let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-        let mut c = SortTopK;
         let mut x = vec_for(peer.rank(), d);
-        ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+        split_merge_ef(peer, &mut x, m, n, rho, &mut ef, None, None);
         (x, ef.residual().to_vec())
     })
 }
@@ -69,20 +99,8 @@ fn main() {
     let identity: Vec<usize> = (0..m).collect();
     let reordered = run_on_group(m * n, move |peer| {
         let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-        let mut c = SortTopK;
-        let mut scratch = CommScratch::new();
         let mut x = vec_for(peer.rank(), d);
-        ok_sparse_all_reduce_ef_reordered(
-            peer,
-            &mut x,
-            m,
-            n,
-            rho,
-            &mut c,
-            &mut ef,
-            &identity,
-            &mut scratch,
-        );
+        split_merge_ef(peer, &mut x, m, n, rho, &mut ef, Some(&identity), None);
         (x, ef.residual().to_vec())
     });
     let ok = reordered == baseline;
@@ -106,23 +124,10 @@ fn main() {
     let faults = DeadlineFaults::new(3);
     let deadline = run_on_group(m * n, move |peer| {
         let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-        let mut c = SortTopK;
-        let mut scratch = CommScratch::new();
         let mut x = vec_for(peer.rank(), d);
-        let (_, drep) = ok_sparse_all_reduce_ef_deadline(
-            peer,
-            &mut x,
-            m,
-            n,
-            rho,
-            &mut c,
-            &mut ef,
-            0,
-            &faults,
-            &policy,
-            &mut scratch,
-        );
-        assert_eq!(drep.missed, 0, "clean plan must not miss");
+        let dp = DeadlinePeer::new(peer, faults.clone(), policy);
+        split_merge_ef(&dp, &mut x, m, n, rho, &mut ef, None, None);
+        assert_eq!(dp.report().missed, 0, "clean plan must not miss");
         (x, ef.residual().to_vec())
     });
     let ok = deadline == baseline;
@@ -142,21 +147,9 @@ fn main() {
     let run_quantized = || {
         run_on_group(m * n, move |peer| {
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
             let mut q = Qsgd::new(127, 77);
-            let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            let rep = ok_sparse_all_reduce_ef_quantized(
-                peer,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut q,
-                &mut ef,
-                &mut scratch,
-            );
+            let rep = split_merge_ef(peer, &mut x, m, n, rho, &mut ef, None, Some(&mut q));
             (x, rep.inter_bytes_sent)
         })
     };
@@ -173,9 +166,8 @@ fn main() {
     );
     let exact_rep = run_on_group(m * n, move |peer| {
         let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-        let mut c = SortTopK;
         let mut x = vec_for(peer.rank(), d);
-        ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef)
+        split_merge_ef(peer, &mut x, m, n, rho, &mut ef, None, None)
     });
     let cheaper = first[0].1 <= exact_rep[0].inter_bytes_sent;
     println!(
@@ -208,5 +200,5 @@ fn main() {
     });
 
     emit_json("oksparse_variants", &rows);
-    println!("\nall variant gates hold: the reordered/deadline/quantized twins keep\ntheir equivalence contracts against the plain EF collective.");
+    println!("\nall variant gates hold: the node-order/deadline-link/codec parameters keep\ntheir equivalence contracts against the plain EF pipeline.");
 }

@@ -115,8 +115,27 @@ pub fn dispatch(args: &Args) -> Result<(), ParseError> {
     }
 }
 
-fn strategy_of(args: &Args) -> Result<Strategy, ParseError> {
+/// A count flag that must be at least 1 (a zero-sized cluster or run has
+/// no meaning and would only fail later, inside a worker thread).
+fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ParseError> {
+    let v: usize = args.num_or(key, default)?;
+    if v == 0 {
+        return Err(ParseError(format!("--{key} must be at least 1")));
+    }
+    Ok(v)
+}
+
+/// The density flag: a fraction in (0, 1].
+fn rho_of(args: &Args) -> Result<f64, ParseError> {
     let rho: f64 = args.num_or("rho", 0.01)?;
+    if !(rho > 0.0 && rho <= 1.0) {
+        return Err(ParseError(format!("--rho must be in (0, 1], got {rho}")));
+    }
+    Ok(rho)
+}
+
+fn strategy_of(args: &Args) -> Result<Strategy, ParseError> {
+    let rho = rho_of(args)?;
     Ok(match args.get_or("strategy", "mstopk") {
         "dense" => Strategy::DenseTreeAr,
         "2dtar" => Strategy::DenseTorus,
@@ -150,7 +169,7 @@ fn cluster_of(args: &Args) -> Result<ClusterSpec, ParseError> {
 }
 
 fn cluster_with(args: &Args, default_nodes: usize) -> Result<ClusterSpec, ParseError> {
-    let nodes: usize = args.num_or("nodes", default_nodes)?;
+    let nodes = positive(args, "nodes", default_nodes)?;
     Ok(match args.get_or("cloud", "tencent") {
         "tencent" => clouds::tencent(nodes),
         "aws" => clouds::aws(nodes),
@@ -182,12 +201,16 @@ fn cmd_train(args: &Args) -> Result<(), ParseError> {
         "transformer" => Workload::Transformer,
         other => return Err(ParseError(format!("unknown workload `{other}`"))),
     };
+    let lr: f32 = args.num_or("lr", 0.08)?;
+    if !lr.is_finite() {
+        return Err(ParseError(format!("--lr must be finite, got {lr}")));
+    }
     let cfg = DistConfig {
-        nodes: args.num_or("nodes", 2)?,
-        gpus_per_node: args.num_or("gpus", 4)?,
-        epochs: args.num_or("epochs", 4)?,
-        iters_per_epoch: args.num_or("iters", 12)?,
-        lr: args.num_or("lr", 0.08)?,
+        nodes: positive(args, "nodes", 2)?,
+        gpus_per_node: positive(args, "gpus", 4)?,
+        epochs: positive(args, "epochs", 4)?,
+        iters_per_epoch: positive(args, "iters", 12)?,
+        lr,
         local_batch: args.num_or("batch", 8)?,
         seed: args.num_or("seed", 42)?,
         ..DistConfig::small(strategy_of(args)?, workload)
@@ -1396,6 +1419,30 @@ mod tests {
         dispatch(&args("tails --nodes 4 --seeds 1 --bytes 262144")).unwrap();
         let err = dispatch(&args("tails --nodes 4 --seeds 1 --bytes 262144 --deny")).unwrap_err();
         assert!(err.to_string().contains("regressed"), "{err}");
+    }
+
+    #[test]
+    fn bad_run_shapes_are_parse_errors_before_any_thread_spawns() {
+        for (cmd, flag) in [
+            ("train --nodes 0", "--nodes"),
+            ("train --gpus 0", "--gpus"),
+            ("train --iters 0", "--iters"),
+            ("train --epochs 0", "--epochs"),
+            ("train --lr inf", "--lr"),
+            ("train --lr nan", "--lr"),
+            ("train --rho nan", "--rho"),
+            ("train --rho 0", "--rho"),
+            ("train --rho 2", "--rho"),
+            ("simulate --nodes 0", "--nodes"),
+            ("simulate --rho nan", "--rho"),
+            ("simulate --rho 0", "--rho"),
+            ("simulate --rho 1.5", "--rho"),
+        ] {
+            let err = dispatch(&args(cmd)).expect_err(cmd);
+            assert!(err.to_string().contains(flag), "{cmd}: {err}");
+        }
+        // The boundary density is a valid dense-equivalent selection.
+        assert!(strategy_of(&args("train --rho 1")).is_ok());
     }
 
     #[test]

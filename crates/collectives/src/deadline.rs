@@ -13,8 +13,9 @@
 //!   proceeds without the upstream contributions. Misses only ever happen
 //!   in the ReduceScatter phase; the AllGather that follows is reliable,
 //!   so every member still ends with the *identical* (partial) vector.
-//! * **Sparse** ([`hitopk_all_reduce_ef_deadline`]): the miss is decided
-//!   at the sparsification point, per *(instance, member)* — a late member
+//! * **Sparse** ([`DeadlinePeer`], the transport the sparse pipelines run
+//!   over): the miss is decided at the sparsification point, per
+//!   *(instance, member)* through [`Link::contribution_missed`] — a late member
 //!   contributes an **empty sparse block** and `ErrorFeedback::absorb`
 //!   keeps its entire compensated shard in the residual. Nothing is lost,
 //!   only delayed: the conformance mass-conservation ledger holds, and all
@@ -26,21 +27,18 @@
 //! construction) and [`DeadlineFaults`] decides — as a pure function of a
 //! seed — how late each hop or contribution *would have been*. A clean
 //! plan therefore never misses (the budget covers the clean transfer time
-//! for any `mult ≥ 1`), making the deadline twins bitwise identical to
-//! their plain counterparts — the property the CI tail gate pins.
+//! for any `mult ≥ 1`), making every deadline-bounded run bitwise identical
+//! to the plain one — the property the CI tail gate pins.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
+use std::cell::Cell;
+
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
-use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
-use crate::ring::{
-    all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather_scratch,
-    ring_reduce_scatter_scratch,
-};
+use crate::group::{member_index, Link, Peer};
+use crate::resilience::{hash3, unit};
+use crate::ring::ring_all_gather_scratch;
 use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, intra_node_members};
 
 /// Seeded virtual-lateness model: how many seconds past the clean transfer
 /// time each hop (or sparse contribution) would have landed.
@@ -249,130 +247,98 @@ pub fn ring_all_reduce_deadline(
     report
 }
 
-/// Deadline-bounded HiTopKComm with error feedback: the data flow of
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`], with this rank's
-/// contribution checked against the budget at the sparsification point. A
-/// late member transmits an empty sparse block and `ef.absorb` keeps its
-/// whole compensated shard in the residual — the discarded mass is
-/// re-injected next invocation (the mass-conservation ledger holds).
-///
-/// The miss decision is per *(instance, member)* — never per hop — so all
-/// ranks observe the same contributed blocks and replicas stay bitwise
-/// identical. With a clean plan no contribution misses and the result is
-/// bitwise identical to the plain EF twin.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_deadline<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    instance: u64,
-    faults: &DeadlineFaults,
-    policy: &DeadlinePolicy,
-    scratch: &mut CommScratch,
-) -> (HiTopKReport, DeadlineReport) {
-    assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = crate::torus::inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    // Deadline check at the sparsification point: would this member's
-    // compressed block (k values + k indices) have landed inside the
-    // budget? A miss selects nothing, so absorb() keeps the whole
-    // compensated shard as residual.
-    let mut report = DeadlineReport { hops: 1, missed: 0 };
-    let lateness = faults.contribution_lateness(instance, peer.rank());
-    let wire = 8 * k;
-    let selection: SparseGrad = if policy.hop_missed(wire, lateness) {
-        report.missed = 1;
-        SparseGrad::empty(shard.len())
-    } else {
-        compressor.compress(shard_buf, k)
-    };
-    ef.absorb(shard_buf, &selection);
-
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
-    (
-        HiTopKReport {
-            k_per_shard: k,
-            shard_nonzeros,
-            inter_bytes_sent,
-        },
-        report,
-    )
+/// A [`Peer`] whose sparse contributions are checked against a lateness
+/// budget: the [`Link`] the sparse pipelines run over for deadline-bounded
+/// aggregation. Sends and receives pass straight through (the hops
+/// themselves are never late here); [`Link::contribution_missed`] asks
+/// whether this rank's block of the given wire size would have landed
+/// inside the budget. With a clean plan nothing misses and every pipeline
+/// is bitwise its plain twin.
+#[derive(Debug)]
+pub struct DeadlinePeer<'a> {
+    peer: &'a Peer,
+    faults: DeadlineFaults,
+    policy: DeadlinePolicy,
+    instance: Cell<u64>,
+    report: Cell<DeadlineReport>,
 }
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
+impl<'a> DeadlinePeer<'a> {
+    /// Wraps `peer` with a lateness plan and a budget. Instance ids start
+    /// at 0 and advance once per collective.
+    pub fn new(peer: &'a Peer, faults: DeadlineFaults, policy: DeadlinePolicy) -> Self {
+        Self {
+            peer,
+            faults,
+            policy,
+            instance: Cell::new(0),
+            report: Cell::new(DeadlineReport::default()),
+        }
+    }
+
+    /// Cumulative contributions checked and missed.
+    pub fn report(&self) -> DeadlineReport {
+        self.report.get()
+    }
+}
+
+impl Link for DeadlinePeer<'_> {
+    fn rank(&self) -> usize {
+        self.peer.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.peer.size()
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
+        self.peer.send_f32(to, data);
+    }
+
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
+        self.peer.send_u32(to, data);
+    }
+
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
+        self.peer.recv_f32(from)
+    }
+
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
+        self.peer.recv_u32(from)
+    }
+
+    fn begin_instance(&self) -> u64 {
+        let id = self.instance.get();
+        self.instance.set(id + 1);
+        id
+    }
+
+    fn contribution_missed(&self, instance: u64, wire_bytes: usize) -> bool {
+        let lateness = self
+            .faults
+            .contribution_lateness(instance, self.peer.rank());
+        let missed = self.policy.hop_missed(wire_bytes, lateness);
+        let mut report = self.report.get();
+        report.hops += 1;
+        report.missed += u64::from(missed);
+        self.report.set(report);
+        missed
+    }
 }
 
 /// Domain-separation salts for the two lateness streams.
 const LATENESS_SALT: u64 = 0x1A7E_1A7E_1A7E_1A7E;
 const CONTRIB_SALT: u64 = 0xC0DE_C0DE_C0DE_C0DE;
 
-/// SplitMix64-style hash over three words (the construction every seeded
-/// decision stream in this workspace shares — deterministic, no global
-/// RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    let mut x = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(41));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::group::run_on_group;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
+    use crate::hierarchical::shard_k;
+    use crate::hierarchical::tests::{check_row, hitopk_ef};
     use crate::ring::ring_all_reduce;
     use cloudtrain_compress::exact::SortTopK;
+    use cloudtrain_compress::ErrorFeedback;
     use cloudtrain_tensor::init;
 
     /// A tencent-like inter link: 50 µs latency, ~25 Gbps.
@@ -494,51 +460,7 @@ mod tests {
 
     #[test]
     fn hitopk_deadline_clean_is_bitwise_identical_to_plain_ef() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let run = |bounded: bool| {
-            run_on_group(m * n, move |peer| {
-                let shard_len = shards_len(d, n, peer.rank() % n);
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let faults = DeadlineFaults::new(3);
-                let policy = DeadlinePolicy::from_link(ALPHA, BETA, 1 << 20, 1.5);
-                let mut out = Vec::new();
-                for round in 0..3u64 {
-                    let mut x = vec_for(100 * round as usize + peer.rank(), d);
-                    if bounded {
-                        let (_, rep) = hitopk_all_reduce_ef_deadline(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            round,
-                            &faults,
-                            &policy,
-                            &mut scratch,
-                        );
-                        assert_eq!(rep.missed, 0);
-                    } else {
-                        hitopk_all_reduce_ef_scratch(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                        );
-                    }
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run(false), run(true));
+        check_row("hitopk_ef: clean-deadline vs plain");
     }
 
     #[test]
@@ -554,27 +476,14 @@ mod tests {
             let mut scratch = CommScratch::new();
             let faults = DeadlineFaults::new(13).with_jitter(1e-4).straggle(1, 100.0);
             let policy = DeadlinePolicy::from_link(ALPHA, BETA, 8 * shard_k(d, n, rho), 1.1);
+            let dp = DeadlinePeer::new(peer, faults, policy);
             let mut out = Vec::new();
-            let mut missed = 0;
-            for round in 0..4u64 {
-                let mut x = vec_for(100 * round as usize + peer.rank(), d);
-                let (_, rep) = hitopk_all_reduce_ef_deadline(
-                    peer,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    round,
-                    &faults,
-                    &policy,
-                    &mut scratch,
-                );
-                missed += rep.missed;
+            for round in 0..4usize {
+                let mut x = vec_for(100 * round + peer.rank(), d);
+                hitopk_ef(&dp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
-            (out, ef.residual_norm(), missed)
+            (out, ef.residual_norm(), dp.report().missed)
         });
         assert!(
             results[1].2 > 0,

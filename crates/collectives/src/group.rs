@@ -4,7 +4,9 @@
 //! unbounded channel for every ordered pair, so `recv(from)` is
 //! deterministic: a message can only be received from the peer it names.
 //! Peers are moved into worker threads (one peer per thread) and all
-//! collectives are expressed as free functions over `&Peer`.
+//! collectives are expressed as free functions over a [`Link`] — the
+//! transport trait [`Peer`] implements directly and the fault-aware
+//! wrappers (`ResilientPeer`, `DeadlinePeer`) implement on top of it.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::sync::{Arc, Barrier};
@@ -129,6 +131,80 @@ impl Peer {
     pub fn barrier(&self) {
         self.barrier.wait();
     }
+}
+
+/// The transport every collective runs over.
+///
+/// Point-to-point sends and receives plus one per-(instance, member)
+/// contribution gate: a sparse collective calls [`Link::begin_instance`]
+/// once per invocation and asks [`Link::contribution_missed`] at its
+/// sparsification point whether this rank's block would have missed its
+/// budget (in which case it ships an empty block and error feedback keeps
+/// the mass). Loss tolerance therefore lives in the transport, not in the
+/// algorithm: a plain [`Peer`] never misses, so every collective over a
+/// `Peer` is the fault-free schedule.
+///
+/// All methods take `&self` (wrappers keep their counters in cells), so a
+/// collective generic over `L: Link + ?Sized` accepts `&Peer` unchanged.
+pub trait Link {
+    /// This rank in `[0, size)`.
+    fn rank(&self) -> usize;
+    /// Number of ranks in the group.
+    fn size(&self) -> usize;
+    /// Sends a float payload to `to`.
+    fn send_f32(&self, to: usize, data: Vec<f32>);
+    /// Sends an index payload to `to`.
+    fn send_u32(&self, to: usize, data: Vec<u32>);
+    /// Receives a float payload from `from` (blocks).
+    fn recv_f32(&self, from: usize) -> Vec<f32>;
+    /// Receives an index payload from `from` (blocks).
+    fn recv_u32(&self, from: usize) -> Vec<u32>;
+    /// Starts a collective instance and returns its id. Every rank runs
+    /// the same collective sequence, so the ids agree without
+    /// communication.
+    fn begin_instance(&self) -> u64 {
+        0
+    }
+    /// Whether this rank's `wire_bytes`-sized contribution to `instance`
+    /// misses its deadline. Decided per (instance, member), never per hop,
+    /// so every rank observes the same set of contributed blocks.
+    fn contribution_missed(&self, _instance: u64, _wire_bytes: usize) -> bool {
+        false
+    }
+}
+
+impl Link for Peer {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.size
+    }
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
+        Peer::send_f32(self, to, data);
+    }
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
+        Peer::send_u32(self, to, data);
+    }
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
+        Peer::recv_f32(self, from)
+    }
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
+        Peer::recv_u32(self, from)
+    }
+}
+
+/// Position of `rank` within `members`.
+///
+/// # Panics
+/// Panics if `rank` is not a member — collectives must only be called by
+/// participants.
+pub(crate) fn member_index(members: &[usize], rank: usize) -> usize {
+    members
+        .iter()
+        .position(|&m| m == rank)
+        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, documented in the Panics section above")
+        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
 }
 
 /// Runs `f` on every peer of a fresh `p`-peer group, one thread per peer,

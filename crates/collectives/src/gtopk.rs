@@ -8,10 +8,10 @@
 //! members compute the same deterministic merge, so all ranks converge to
 //! an identical global selection.
 
-use cloudtrain_compress::{Compressor, SparseGrad};
+use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
 use cloudtrain_tensor::ops;
 
-use crate::group::Peer;
+use crate::group::Link;
 use crate::scratch::CommScratch;
 
 /// Merges two sparse gradients over the same dense space, summing values
@@ -87,53 +87,59 @@ pub fn trim_topk(s: &SparseGrad, k: usize) -> SparseGrad {
 /// vector with (at most) `k` nonzeros — the global top-k approximation of
 /// the sum. Returns the bytes this rank sent.
 ///
+/// * `ef` — error feedback around the selection: compensate, select (or
+///   ship the empty set when the link reports the contribution missed),
+///   absorb. A missed rank's merges are identities, every rank still runs
+///   all `log₂ P` rounds, and its gradient mass survives in its residual.
+/// * `scratch` — each round takes two pooled buffers (the outgoing
+///   value/index copies) and recycles the partner's received pair once
+///   merged, so repeated invocations stop allocating on the wire path.
+///
 /// # Panics
 /// Panics unless the group size is a power of two (the recursive-doubling
 /// schedule's requirement).
-pub fn gtopk_all_reduce<C: Compressor + ?Sized>(
-    peer: &Peer,
+pub fn gtopk_all_reduce<L: Link + ?Sized, C: Compressor + ?Sized>(
+    link: &L,
     x: &mut [f32],
     k: usize,
     compressor: &mut C,
-) -> usize {
-    gtopk_all_reduce_scratch(peer, x, k, compressor, &mut CommScratch::new())
-}
-
-/// [`gtopk_all_reduce`] drawing its per-round wire copies from `scratch`.
-///
-/// Each recursive-doubling round takes two pooled buffers (the outgoing
-/// value/index copies, previously fresh `clone`s) and recycles the
-/// partner's received pair once merged, keeping the pool flow balanced so
-/// repeated invocations stop allocating on the wire path after warmup.
-///
-/// # Panics
-/// Panics unless the group size is a power of two.
-pub fn gtopk_all_reduce_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    k: usize,
-    compressor: &mut C,
+    ef: Option<&mut ErrorFeedback>,
     scratch: &mut CommScratch,
 ) -> usize {
-    let p = peer.size();
+    let p = link.size();
     assert!(
         p.is_power_of_two(),
         "gtopk_all_reduce: group size must be 2^m"
     );
-    let rank = peer.rank();
-    let mut current = compressor.compress(x, k);
+    let rank = link.rank();
+    let instance = link.begin_instance();
+
+    let mut current = match ef {
+        Some(ef) => {
+            assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");
+            ef.compensate(x);
+            let selection = if link.contribution_missed(instance, 8 * k) {
+                SparseGrad::empty(x.len())
+            } else {
+                compressor.compress(x, k)
+            };
+            ef.absorb(x, &selection);
+            selection
+        }
+        None => compressor.compress(x, k),
+    };
     let mut sent = 0;
 
     let mut mask = 1;
     while mask < p {
         let partner = rank ^ mask;
-        // Both directions of the exchange; lower rank sends first to keep
-        // the schedule deterministic (channels are pairwise ordered anyway).
-        peer.send_f32(partner, scratch.copy_f32(&current.values));
-        peer.send_u32(partner, scratch.copy_u32(&current.indices));
+        // Both directions of the exchange; channels are pairwise ordered,
+        // so the schedule is deterministic.
+        link.send_f32(partner, scratch.copy_f32(&current.values));
+        link.send_u32(partner, scratch.copy_u32(&current.indices));
         sent += current.wire_bytes();
-        let vals = peer.recv_f32(partner);
-        let idxs = peer.recv_u32(partner);
+        let vals = link.recv_f32(partner);
+        let idxs = link.recv_u32(partner);
         let theirs = SparseGrad::new(vals, idxs, current.dim);
         current = trim_topk(&merge_sparse(&current, &theirs), k);
         // The partner's pair balances the two takes above; the merge output
@@ -191,7 +197,7 @@ mod tests {
             let results = run_on_group(p, |peer| {
                 let mut x = vec_for(peer.rank(), d);
                 let mut c = SortTopK;
-                let sent = gtopk_all_reduce(peer, &mut x, k, &mut c);
+                let sent = gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut CommScratch::new());
                 (x, sent)
             });
             for (x, sent) in &results {
@@ -212,7 +218,7 @@ mod tests {
             let mut x = vec![0.01f32; d];
             x[peer.rank() * 10] = 100.0 + peer.rank() as f32;
             let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, k, &mut c);
+            gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut CommScratch::new());
             x
         });
         for r in 0..p {
@@ -233,14 +239,14 @@ mod tests {
         let plain = run_on_group(p, |peer| {
             let mut x = vec_for(peer.rank(), d);
             let mut c = SortTopK;
-            let sent = gtopk_all_reduce(peer, &mut x, k, &mut c);
+            let sent = gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut CommScratch::new());
             (x, sent)
         });
         let scratched = run_on_group(p, |peer| {
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
             let mut c = SortTopK;
-            let sent = gtopk_all_reduce_scratch(peer, &mut x, k, &mut c, &mut scratch);
+            let sent = gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut scratch);
             (x, sent)
         });
         assert_eq!(plain, scratched);
@@ -253,11 +259,11 @@ mod tests {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            gtopk_all_reduce_scratch(peer, &mut x, k, &mut c, &mut scratch);
+            gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut scratch);
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(20 * round + peer.rank(), d);
-                gtopk_all_reduce_scratch(peer, &mut y, k, &mut c, &mut scratch);
+                gtopk_all_reduce(peer, &mut y, k, &mut c, None, &mut scratch);
             }
             (warm, scratch.misses())
         });
@@ -275,7 +281,7 @@ mod tests {
         run_on_group(3, |peer| {
             let mut x = vec![0.0f32; 8];
             let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, 2, &mut c);
+            gtopk_all_reduce(peer, &mut x, 2, &mut c, None, &mut CommScratch::new());
         });
     }
 }

@@ -11,11 +11,13 @@
 //!    or built by hand,
 //! 2. a seeded local-search optimizer ([`optimize_ring_order`]) minimizing
 //!    the directed ring cost over node permutations,
-//! 3. reordered twins of the dense and sparse collectives
-//!    ([`ring_all_reduce_reordered`], [`torus_all_reduce_reordered`],
-//!    [`hitopk_all_reduce_ef_reordered`]) that run the *identical* schedule
-//!    over the permuted member lists — with the identity order they are
-//!    bitwise-identical to their natural twins.
+//! 3. the `node_order` argument of the hierarchical collectives
+//!    ([`crate::torus::torus_all_reduce_scratch`],
+//!    [`crate::hierarchical::hitopk_all_reduce`]) and the `order` argument
+//!    of [`crate::gtopk::gtopk_all_reduce`], which run the *identical*
+//!    schedule over the permuted member lists — with the identity order
+//!    they are bitwise-identical to the natural order. A flat ring is
+//!    reordered by permuting its `members` list.
 //!
 //! The optimizer is a pure function of `(cost, bytes, seed)`: greedy
 //! position swaps to a local optimum from a handful of seeded restarts,
@@ -23,18 +25,7 @@
 //! rotation-invariant), so two runs over the same probe always emit the
 //! same permutation — the property the CI determinism gate pins.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_tensor::ops;
-use cloudtrain_tensor::partition::shard_for;
-
-use crate::group::Peer;
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
-use crate::ring::{
-    all_gather_f32_scratch, all_gather_u32_scratch, ring_all_gather, ring_all_gather_scratch,
-    ring_all_reduce, ring_reduce_scatter, ring_reduce_scatter_scratch,
-};
-use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, intra_node_members};
+use crate::resilience::hash3;
 
 /// Pairwise α–β cost model over the `m` nodes of a cluster (directed:
 /// `src → dst` and `dst → src` are independent links).
@@ -113,7 +104,7 @@ impl PairCost {
 ///
 /// # Panics
 /// Panics on wrong length or repeated/out-of-range entries.
-fn assert_valid_order(node_order: &[usize], nodes: usize) {
+pub(crate) fn assert_valid_order(node_order: &[usize], nodes: usize) {
     assert_eq!(node_order.len(), nodes, "node order has wrong length");
     let mut seen = vec![false; nodes];
     for &i in node_order {
@@ -189,141 +180,25 @@ pub fn optimize_ring_order(cost: &PairCost, bytes: usize, seed: u64) -> Vec<usiz
     canonicalize(best)
 }
 
-/// Ranks of GPU `j` across the nodes *in `node_order`* — the reordered
-/// inter-node ring (communication stream `j`).
-///
-/// # Panics
-/// Panics unless `node_order` is a permutation.
-pub fn inter_members_ordered(j: usize, node_order: &[usize], n: usize) -> Vec<usize> {
-    assert_valid_order(node_order, node_order.len());
-    node_order.iter().map(|&i| i * n + j).collect()
-}
-
-/// Ring AllReduce over `members` visited in `order` (a permutation of
-/// member *positions*). With the identity order this is exactly
-/// [`ring_all_reduce`] — bitwise identical.
-///
-/// # Panics
-/// Panics unless `order` is a permutation of `0..members.len()`.
-pub fn ring_all_reduce_reordered(peer: &Peer, x: &mut [f32], members: &[usize], order: &[usize]) {
-    assert_valid_order(order, members.len());
-    let reordered: Vec<usize> = order.iter().map(|&i| members[i]).collect();
-    ring_all_reduce(peer, x, &reordered);
-}
-
-/// 2D-Torus AllReduce with the inter-node rings visiting nodes in
-/// `node_order`. The schedule is [`crate::torus::torus_all_reduce`]'s —
-/// only the phase-2 ring order changes — so the identity order is bitwise
-/// identical to the natural twin.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or `node_order` is not a
-/// permutation of `0..m`.
-pub fn torus_all_reduce_reordered(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    node_order: &[usize],
-) {
-    assert_eq!(peer.size(), m * n, "torus_all_reduce: group is not m*n");
-    assert_valid_order(node_order, m);
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_members_ordered(pos.gpu, node_order, n);
-
-    let shard = ring_reduce_scatter(peer, x, &intra);
-    debug_assert_eq!(shard, shard_for(x.len(), n, pos.gpu));
-    ring_all_reduce(peer, shard.slice_mut(x), &inter);
-    ring_all_gather(peer, x, &intra);
-}
-
-/// HiTopKComm with error feedback over reordered inter-node rings: the
-/// data flow of [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] with
-/// the sparse AllGather of step 3 visiting nodes in `node_order`. Identity
-/// order ⇒ bitwise identical to the natural twin; any order preserves
-/// replica agreement (every rank of a stream gathers the same blocks in
-/// the same member order).
-///
-/// # Panics
-/// Panics if the group size is not `m * n`, the residual dimension does
-/// not match this rank's shard, or `node_order` is not a permutation.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_reordered<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    node_order: &[usize],
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    assert_eq!(peer.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
-    assert_valid_order(node_order, m);
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_members_ordered(pos.gpu, node_order, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    let selection: SparseGrad = compressor.compress(shard_buf, k);
-    ef.absorb(shard_buf, &selection);
-
-    let value_blocks = all_gather_f32_scratch(peer, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_scratch(peer, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
-    HiTopKReport {
-        k_per_shard: k,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
-/// SplitMix64-style hash over three words (the construction every seeded
-/// decision stream in this workspace shares — deterministic, no global
-/// RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
-    let mut x = a
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(b.rotate_left(17))
-        .wrapping_add(c.rotate_left(41));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::group::run_on_group;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
-    use crate::torus::torus_all_reduce;
+    use crate::hierarchical::tests::check_row;
+    use crate::hierarchical::{hitopk_all_reduce, Route};
+    use crate::ring::ring_all_reduce;
+    use crate::scratch::CommScratch;
+    use crate::torus::{inter_members, torus_all_reduce, torus_all_reduce_scratch};
     use cloudtrain_compress::exact::SortTopK;
-    use cloudtrain_tensor::init;
+    use cloudtrain_compress::ErrorFeedback;
     use cloudtrain_tensor::partition::shards;
+    use cloudtrain_tensor::{init, ops};
+
+    /// A flat ring reordered by permuting its member list.
+    fn permuted(members: &[usize], order: &[usize]) -> Vec<usize> {
+        assert_valid_order(order, members.len());
+        order.iter().map(|&i| members[i]).collect()
+    }
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(9000 + rank as u64);
@@ -408,7 +283,7 @@ mod tests {
         });
         let reordered = run_on_group(p, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            ring_all_reduce_reordered(peer, &mut x, &members, &identity);
+            ring_all_reduce(peer, &mut x, &permuted(&members, &identity));
             x
         });
         assert_eq!(plain, reordered);
@@ -422,7 +297,7 @@ mod tests {
         let expect = expected_sum(p, d);
         let results = run_on_group(p, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            ring_all_reduce_reordered(peer, &mut x, &members, &order);
+            ring_all_reduce(peer, &mut x, &permuted(&members, &order));
             x
         });
         for (r, x) in results.iter().enumerate() {
@@ -442,7 +317,7 @@ mod tests {
         });
         let reordered = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_reordered(peer, &mut x, m, n, &identity);
+            torus_all_reduce_scratch(peer, &mut x, m, n, Some(&identity), &mut CommScratch::new());
             x
         });
         assert_eq!(plain, reordered);
@@ -455,7 +330,7 @@ mod tests {
         let expect = expected_sum(m * n, d);
         let results = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_reordered(peer, &mut x, m, n, &order);
+            torus_all_reduce_scratch(peer, &mut x, m, n, Some(&order), &mut CommScratch::new());
             x
         });
         for (r, x) in results.iter().enumerate() {
@@ -466,48 +341,7 @@ mod tests {
 
     #[test]
     fn reordered_hitopk_identity_is_bitwise_identical() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let identity: Vec<usize> = (0..m).collect();
-        let run = |reorder: bool| {
-            let identity = identity.clone();
-            run_on_group(m * n, move |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    if reorder {
-                        hitopk_all_reduce_ef_reordered(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &identity,
-                            &mut scratch,
-                        );
-                    } else {
-                        hitopk_all_reduce_ef_scratch(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                        );
-                    }
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run(false), run(true));
+        check_row("hitopk_ef: identity-order vs plain");
     }
 
     #[test]
@@ -522,16 +356,15 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..3 {
                 let mut x = vec_for(100 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_reordered(
+                hitopk_all_reduce(
                     peer,
                     &mut x,
-                    m,
-                    n,
-                    rho,
+                    &mut Route::new(m, n, rho),
+                    Some(&order),
                     &mut c,
-                    &mut ef,
-                    &order,
+                    Some(&mut ef),
                     &mut scratch,
+                    None,
                 );
                 out.push(x);
             }
@@ -547,7 +380,7 @@ mod tests {
     fn reordered_torus_rejects_non_permutations() {
         run_on_group(4, |peer| {
             let mut x = vec![1.0f32; 8];
-            torus_all_reduce_reordered(peer, &mut x, 2, 2, &[0, 0]);
+            torus_all_reduce_scratch(peer, &mut x, 2, 2, Some(&[0, 0]), &mut CommScratch::new());
             x
         });
     }
@@ -555,7 +388,7 @@ mod tests {
     #[test]
     fn inter_members_follow_the_node_order() {
         assert_eq!(
-            inter_members_ordered(3, &[2, 0, 3, 1], 8),
+            inter_members(3, 4, 8, Some(&[2, 0, 3, 1])),
             vec![19, 3, 27, 11]
         );
     }

@@ -17,9 +17,10 @@
 //!   that keeps dropping is retried up to [`ResiliencePolicy::max_retries`]
 //!   times and then *escalated* — the final attempt always lands. The sum
 //!   is exact; the cost is the full retry ladder in the tail.
-//! * **Sparse collectives** (HiTopKComm, gTop-k) may *degrade*: a member
-//!   whose contribution misses its deadline transmits an **empty sparse
-//!   block** instead. Error feedback makes this safe — the member's
+//! * **Sparse collectives** (HiTopKComm, O(k), gTop-k) may *degrade*: a
+//!   member whose contribution misses its deadline transmits an **empty
+//!   sparse block** instead (the [`Link::contribution_missed`] gate the
+//!   sparse pipelines ask at their sparsification point). Error feedback makes this safe — the member's
 //!   residual absorbs the entire compensated gradient (an empty selection
 //!   zeroes nothing), so the skipped mass is re-queued next step and no
 //!   information is lost, only delayed.
@@ -32,15 +33,9 @@
 //! counters agree), with the sender charging drops/retries/escalations and
 //! the receiver charging the virtual wait — nothing is double-counted.
 
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_tensor::ops;
-use cloudtrain_tensor::partition::{shard_for, shards, Shard};
+use std::cell::{Cell, RefCell};
 
-use crate::group::Peer;
-use crate::gtopk::{merge_sparse, trim_topk};
-use crate::hierarchical::{group_wire_bytes, shard_k, HiTopKReport};
-use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, inter_node_members, intra_node_members};
+use crate::group::{Link, Peer};
 
 /// Seeded fault decisions for the correctness-plane collectives.
 ///
@@ -177,19 +172,20 @@ pub struct ResilienceReport {
 ///
 /// All sends physically deliver exactly once (drops are virtual), so any
 /// schedule that is deadlock-free over a plain `Peer` stays deadlock-free
-/// over a `ResilientPeer`.
+/// over a `ResilientPeer` — every collective runs over it unchanged through
+/// the [`Link`] trait.
 #[derive(Debug)]
 pub struct ResilientPeer<'a> {
     peer: &'a Peer,
     faults: CommFaults,
     policy: ResiliencePolicy,
     /// Per-destination count of messages sent (ordered-pair hop counter).
-    sent: Vec<u64>,
+    sent: RefCell<Vec<u64>>,
     /// Per-source count of messages received (the mirror counter).
-    received: Vec<u64>,
-    /// Collective instances started via [`ResilientPeer::begin_instance`].
-    instance: u64,
-    report: ResilienceReport,
+    received: RefCell<Vec<u64>>,
+    /// Collective instances started via [`Link::begin_instance`].
+    instance: Cell<u64>,
+    report: Cell<ResilienceReport>,
 }
 
 impl<'a> ResilientPeer<'a> {
@@ -200,65 +196,45 @@ impl<'a> ResilientPeer<'a> {
             peer,
             faults,
             policy,
-            sent: vec![0; p],
-            received: vec![0; p],
-            instance: 0,
-            report: ResilienceReport::default(),
+            sent: RefCell::new(vec![0; p]),
+            received: RefCell::new(vec![0; p]),
+            instance: Cell::new(0),
+            report: Cell::new(ResilienceReport::default()),
         }
-    }
-
-    /// This peer's rank.
-    pub fn rank(&self) -> usize {
-        self.peer.rank()
-    }
-
-    /// Group size.
-    pub fn size(&self) -> usize {
-        self.peer.size()
-    }
-
-    /// Starts a new collective instance and returns its id. Every rank
-    /// executes the same collective sequence, so local instance counters
-    /// agree across the group without communication.
-    pub fn begin_instance(&mut self) -> u64 {
-        let id = self.instance;
-        self.instance += 1;
-        id
-    }
-
-    /// Whether this rank's sparse contribution to instance `instance`
-    /// misses its deadline (and must be sent as an empty block).
-    pub fn contribution_degraded(&mut self, instance: u64) -> bool {
-        let degraded = self.faults.member_degraded(instance, self.rank());
-        if degraded {
-            self.report.degraded_members += 1;
-        }
-        degraded
     }
 
     /// Cumulative resilience accounting.
     pub fn report(&self) -> ResilienceReport {
-        self.report
+        self.report.get()
+    }
+
+    fn charge(&self, f: impl FnOnce(&mut ResilienceReport)) {
+        let mut report = self.report.get();
+        f(&mut report);
+        self.report.set(report);
     }
 
     /// Walks the drop ladder of one outgoing hop, charging drops, retries
     /// and escalations. Returns nothing: the payload always goes out.
-    fn charge_send(&mut self, to: usize) {
-        let hop = self.sent[to];
-        self.sent[to] += 1;
-        self.report.hops += 1;
+    fn charge_send(&self, to: usize) {
+        let hop = {
+            let mut sent = self.sent.borrow_mut();
+            sent[to] += 1;
+            sent[to] - 1
+        };
+        self.charge(|r| r.hops += 1);
         if self.faults.drop_prob == 0.0 {
             return;
         }
-        let me = self.rank();
+        let me = self.peer.rank();
         let mut attempt = 0u32;
         while self.faults.hop_dropped(me, to, hop, attempt) {
-            self.report.drops += 1;
+            self.charge(|r| r.drops += 1);
             if attempt == self.policy.max_retries {
-                self.report.escalations += 1;
+                self.charge(|r| r.escalations += 1);
                 break;
             }
-            self.report.retries += 1;
+            self.charge(|r| r.retries += 1);
             attempt += 1;
         }
     }
@@ -266,13 +242,16 @@ impl<'a> ResilientPeer<'a> {
     /// Replays the sender's drop ladder from the receiver's side (the
     /// counters agree because channels are FIFO) and charges the virtual
     /// wait the timeouts cost this rank.
-    fn charge_recv(&mut self, from: usize) {
-        let hop = self.received[from];
-        self.received[from] += 1;
+    fn charge_recv(&self, from: usize) {
+        let hop = {
+            let mut received = self.received.borrow_mut();
+            received[from] += 1;
+            received[from] - 1
+        };
         if self.faults.drop_prob == 0.0 {
             return;
         }
-        let me = self.rank();
+        let me = self.peer.rank();
         let mut wait = 0.0;
         let mut attempt = 0u32;
         while self.faults.hop_dropped(from, me, hop, attempt) {
@@ -282,337 +261,64 @@ impl<'a> ResilientPeer<'a> {
             }
             attempt += 1;
         }
-        self.report.virtual_delay += wait;
+        self.charge(|r| r.virtual_delay += wait);
+    }
+}
+
+impl Link for ResilientPeer<'_> {
+    fn rank(&self) -> usize {
+        self.peer.rank()
     }
 
-    /// Sends a float payload, charging the hop's fault outcome.
-    pub fn send_f32(&mut self, to: usize, data: Vec<f32>) {
+    fn size(&self) -> usize {
+        self.peer.size()
+    }
+
+    fn send_f32(&self, to: usize, data: Vec<f32>) {
         self.charge_send(to);
         self.peer.send_f32(to, data);
     }
 
-    /// Sends an index payload, charging the hop's fault outcome.
-    pub fn send_u32(&mut self, to: usize, data: Vec<u32>) {
+    fn send_u32(&self, to: usize, data: Vec<u32>) {
         self.charge_send(to);
         self.peer.send_u32(to, data);
     }
 
-    /// Receives a float payload, charging the virtual wait (blocks).
-    pub fn recv_f32(&mut self, from: usize) -> Vec<f32> {
+    fn recv_f32(&self, from: usize) -> Vec<f32> {
         self.charge_recv(from);
         self.peer.recv_f32(from)
     }
 
-    /// Receives an index payload, charging the virtual wait (blocks).
-    pub fn recv_u32(&mut self, from: usize) -> Vec<u32> {
+    fn recv_u32(&self, from: usize) -> Vec<u32> {
         self.charge_recv(from);
         self.peer.recv_u32(from)
     }
-}
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
-
-/// Resilient ring ReduceScatter — the data flow of
-/// [`crate::ring::ring_reduce_scatter_scratch`] with every hop charged
-/// through the policy. Results are bitwise identical to the plain variant
-/// (drops are virtual; every byte is delivered).
-pub fn ring_reduce_scatter_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Shard {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let d = x.len();
-    if p == 1 {
-        return shard_for(d, 1, 0);
-    }
-    let chunks = shards(d, p);
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s - 1) % p;
-        let recv_idx = (me + 2 * p - s - 2) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        rp.send_f32(right, send_chunk);
-        let recv = rp.recv_f32(left);
-        ops::add_assign(chunks[recv_idx].slice_mut(x), &recv);
-        scratch.put_f32(recv);
-    }
-    chunks[me]
-}
-
-/// Resilient ring AllGather (see [`ring_reduce_scatter_resilient`]).
-pub fn ring_all_gather_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    if p == 1 {
-        return;
-    }
-    let chunks = shards(x.len(), p);
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        rp.send_f32(right, send_chunk);
-        let recv = rp.recv_f32(left);
-        chunks[recv_idx].slice_mut(x).copy_from_slice(&recv);
-        scratch.put_f32(recv);
-    }
-}
-
-/// Resilient ring AllReduce = resilient ReduceScatter + AllGather. Exact:
-/// on return every member holds the dense sum, whatever the fault plan.
-pub fn ring_all_reduce_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) {
-    ring_reduce_scatter_resilient(rp, x, members, scratch);
-    ring_all_gather_resilient(rp, x, members, scratch);
-}
-
-/// Resilient AllGather of variable float payloads (ownership contract as
-/// in [`crate::ring::all_gather_f32_scratch`]: the caller recycles blocks).
-pub fn all_gather_f32_resilient(
-    rp: &mut ResilientPeer,
-    mine: &[f32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Vec<Vec<f32>> {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let mut blocks: Vec<Option<Vec<f32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_f32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_f32(src);
-        rp.send_f32(right, payload);
-        blocks[recv_idx] = Some(rp.recv_f32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
-}
-
-/// Resilient AllGather of variable index payloads (see
-/// [`all_gather_f32_resilient`]).
-pub fn all_gather_u32_resilient(
-    rp: &mut ResilientPeer,
-    mine: &[u32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Vec<Vec<u32>> {
-    let p = members.len();
-    let me = member_index(members, rp.rank());
-    let mut blocks: Vec<Option<Vec<u32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_u32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_u32(src);
-        rp.send_u32(right, payload);
-        blocks[recv_idx] = Some(rp.recv_u32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
-}
-
-/// Resilient 2D-Torus AllReduce: the dense baseline under the retry
-/// policy. The sum is exact on every rank — dense traffic never degrades —
-/// but the report shows what the BSP barrier paid for that guarantee.
-///
-/// # Panics
-/// Panics if the group size is not `m * n`.
-pub fn torus_all_reduce_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    scratch: &mut CommScratch,
-) {
-    assert_eq!(rp.size(), m * n, "torus_all_reduce: group is not m*n");
-    rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    debug_assert_eq!(shard, shard_for(x.len(), n, pos.gpu));
-    ring_all_reduce_resilient(rp, shard.slice_mut(x), &inter, scratch);
-    ring_all_gather_resilient(rp, x, &intra, scratch);
-}
-
-/// Resilient HiTopKComm with error feedback: the data flow of
-/// [`crate::hierarchical::hitopk_all_reduce_ef_scratch`] with hops charged
-/// through the policy and *graceful degradation* — if this rank's
-/// contribution misses its deadline, it transmits an empty sparse block.
-///
-/// Correctness under degradation: `ef.absorb` with an empty selection
-/// zeroes nothing, so the member's entire compensated shard gradient lands
-/// in the residual and is re-injected next invocation. All ranks observe
-/// the same contributed blocks (the empty block physically travels through
-/// the AllGather), so replicas stay bitwise identical.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
-pub fn hitopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> HiTopKReport {
-    assert_eq!(rp.size(), m * n, "hitopk_all_reduce_ef: group is not m*n");
-    let d = x.len();
-    let instance = rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "hitopk_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    // Deadline check at the sparsification point: a degraded member selects
-    // nothing, so absorb() keeps its whole compensated shard as residual.
-    let selection: SparseGrad = if rp.contribution_degraded(instance) {
-        SparseGrad::empty(shard.len())
-    } else {
-        compressor.compress(shard_buf, k)
-    };
-    ef.absorb(shard_buf, &selection);
-
-    let value_blocks = all_gather_f32_resilient(rp, &selection.values, &inter, scratch);
-    let index_blocks = all_gather_u32_resilient(rp, &selection.indices, &inter, scratch);
-    let inter_bytes_sent = group_wire_bytes(&selection, inter.len());
-
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
-
-    ring_all_gather_resilient(rp, x, &intra, scratch);
-
-    HiTopKReport {
-        k_per_shard: k,
-        shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
-/// Resilient gTop-k with error feedback: compensate → select (or degrade
-/// to an empty selection) → absorb → recursive-doubling exchange, all hops
-/// charged through the policy. Returns the bytes this rank sent.
-///
-/// A degraded rank contributes the empty set; merges against it are
-/// identities, every rank still runs all `log₂ P` rounds (no deadlock),
-/// and the rank's gradient mass survives in its residual.
-///
-/// # Panics
-/// Panics unless the group size is a power of two.
-pub fn gtopk_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    k: usize,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> usize {
-    let p = rp.size();
-    assert!(
-        p.is_power_of_two(),
-        "gtopk_all_reduce: group size must be 2^m"
-    );
-    assert_eq!(ef.dim(), x.len(), "gtopk ef: residual must match x");
-    let instance = rp.begin_instance();
-    let rank = rp.rank();
-
-    ef.compensate(x);
-    let mut current = if rp.contribution_degraded(instance) {
-        SparseGrad::empty(x.len())
-    } else {
-        compressor.compress(x, k)
-    };
-    ef.absorb(x, &current);
-    let mut sent = 0;
-
-    let mut mask = 1;
-    while mask < p {
-        let partner = rank ^ mask;
-        rp.send_f32(partner, scratch.copy_f32(&current.values));
-        rp.send_u32(partner, scratch.copy_u32(&current.indices));
-        sent += current.wire_bytes();
-        let vals = rp.recv_f32(partner);
-        let idxs = rp.recv_u32(partner);
-        let theirs = SparseGrad::new(vals, idxs, current.dim);
-        current = trim_topk(&merge_sparse(&current, &theirs), k);
-        let SparseGrad {
-            values, indices, ..
-        } = theirs;
-        scratch.put_f32(values);
-        scratch.put_u32(indices);
-        mask <<= 1;
+    fn begin_instance(&self) -> u64 {
+        let id = self.instance.get();
+        self.instance.set(id + 1);
+        id
     }
 
-    ops::fill(x, 0.0);
-    current.add_into(x);
-    sent
+    /// Whether this rank's sparse contribution to `instance` is degraded by
+    /// the fault plan (straggler ranks use the elevated probability); the
+    /// wire size does not enter the decision.
+    fn contribution_missed(&self, instance: u64, _wire_bytes: usize) -> bool {
+        let degraded = self.faults.member_degraded(instance, self.peer.rank());
+        if degraded {
+            self.charge(|r| r.degraded_members += 1);
+        }
+        degraded
+    }
 }
 
 /// Domain-separation salts for the two decision streams.
 const HOP_SALT: u64 = 0x40B5_40B5_40B5_40B5;
 const DEGRADE_SALT: u64 = 0xDE6A_DE6A_DE6A_DE6A;
 
-/// SplitMix64-style hash over three words (the same construction the
-/// simnet fault plan uses — deterministic, no global RNG).
-fn hash3(a: u64, b: u64, c: u64) -> u64 {
+/// SplitMix64-style hash over three words (the construction every seeded
+/// decision stream in this crate shares — deterministic, no global RNG).
+pub(crate) fn hash3(a: u64, b: u64, c: u64) -> u64 {
     let mut x = a
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(b.rotate_left(17))
@@ -623,7 +329,7 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
+pub(crate) fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -631,10 +337,16 @@ fn unit(h: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::group::run_on_group;
-    use crate::hierarchical::hitopk_all_reduce_ef_scratch;
-    use crate::torus::torus_all_reduce;
+    use crate::gtopk::gtopk_all_reduce;
+    use crate::hierarchical::tests::{check_row, hitopk_ef};
+    use crate::hierarchical::{hitopk_all_reduce, Intra, Route};
+    use crate::ring::ring_all_reduce_scratch;
+    use crate::scratch::CommScratch;
+    use crate::torus::{torus_all_reduce, torus_all_reduce_scratch};
     use cloudtrain_compress::exact::SortTopK;
+    use cloudtrain_compress::ErrorFeedback;
     use cloudtrain_tensor::init;
+    use cloudtrain_tensor::partition::shards;
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(8000 + rank as u64);
@@ -657,10 +369,10 @@ mod tests {
             x
         });
         let resilient = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, CommFaults::new(5), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, CommFaults::new(5), ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch);
+            torus_all_reduce_scratch(&rp, &mut x, m, n, None, &mut scratch);
             assert_eq!(rp.report().drops, 0);
             assert_eq!(rp.report().virtual_delay, 0.0);
             x
@@ -678,10 +390,10 @@ mod tests {
         });
         let reports = run_on_group(m * n, |peer| {
             let faults = CommFaults::new(77).with_drops(0.3);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch);
+            torus_all_reduce_scratch(&rp, &mut x, m, n, None, &mut scratch);
             (x, rp.report())
         });
         let total_drops: u64 = reports.iter().map(|(_, r)| r.drops).sum();
@@ -705,12 +417,12 @@ mod tests {
         let p = 4usize;
         let reports = run_on_group(p, |peer| {
             let faults = CommFaults::new(13).with_drops(0.5);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let members: Vec<usize> = (0..p).collect();
             let mut scratch = CommScratch::new();
             for round in 0..5 {
                 let mut x = vec_for(round * 10 + rp.rank(), 24);
-                ring_all_reduce_resilient(&mut rp, &mut x, &members, &mut scratch);
+                ring_all_reduce_scratch(&rp, &mut x, &members, &mut scratch);
             }
             rp.report()
         });
@@ -730,65 +442,14 @@ mod tests {
 
     #[test]
     fn hitopk_resilient_clean_matches_plain_ef() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let run_plain = || {
-            run_on_group(m * n, |peer| {
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    hitopk_all_reduce_ef_scratch(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        let run_resilient = || {
-            run_on_group(m * n, |peer| {
-                let mut rp =
-                    ResilientPeer::new(peer, CommFaults::new(9), ResiliencePolicy::default());
-                let shard_len = shards(d, n)[peer.rank() % n].len();
-                let mut ef = ErrorFeedback::new(shard_len);
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    hitopk_all_reduce_ef_resilient(
-                        &mut rp,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    );
-                    out.push(x);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run_plain(), run_resilient());
+        check_row("hitopk_ef: clean-resilient vs plain");
     }
 
     #[test]
     fn hitopk_degradation_keeps_ranks_bitwise_identical() {
         let (m, n, d, rho) = (2usize, 4usize, 120usize, 0.1f64);
         let results = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(21), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(21), ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
@@ -796,16 +457,7 @@ mod tests {
             let mut out = Vec::new();
             for round in 0..4 {
                 let mut x = vec_for(100 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                hitopk_ef(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
                 out.push(x);
             }
             (out, rp.report().degraded_members)
@@ -827,22 +479,13 @@ mod tests {
         let (m, n, d, rho) = (2usize, 2usize, 32usize, 0.25f64);
         let results = run_on_group(m * n, |peer| {
             let faults = CommFaults::new(3).straggle(1, 1.0);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut ef,
-                &mut scratch,
-            );
+            hitopk_ef(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             (ef.residual_norm(), rp.report().degraded_members)
         });
         // Rank 1 degraded: nonzero residual holding the whole shard.
@@ -857,14 +500,14 @@ mod tests {
     fn gtopk_resilient_completes_and_ranks_agree_under_faults() {
         let (p, d, k) = (4usize, 200usize, 10usize);
         let results = run_on_group(p, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(31), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(31), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(d);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut out = Vec::new();
             for round in 0..4 {
                 let mut x = vec_for(20 * round + peer.rank(), d);
-                gtopk_all_reduce_ef_resilient(&mut rp, &mut x, k, &mut c, &mut ef, &mut scratch);
+                gtopk_all_reduce(&rp, &mut x, k, &mut c, Some(&mut ef), &mut scratch);
                 out.push(x);
             }
             (out, ef.residual_norm())
@@ -884,36 +527,18 @@ mod tests {
         // take/put flow still nets to zero.
         let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
         let miss_growth = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, hostile(17), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, hostile(17), ResiliencePolicy::default());
             let shard_len = shards(d, n)[peer.rank() % n].len();
             let mut ef = ErrorFeedback::new(shard_len);
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut ef,
-                &mut scratch,
-            );
+            hitopk_ef(&rp, &mut x, m, n, rho, &mut c, &mut ef, &mut scratch);
             let warm = scratch.misses();
             scratch.reset_stats();
             for round in 1..5 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut y,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
+                hitopk_ef(&rp, &mut y, m, n, rho, &mut c, &mut ef, &mut scratch);
             }
             (warm, scratch.misses())
         });
@@ -923,6 +548,53 @@ mod tests {
                 *steady, 0,
                 "rank {r}: steady-state resilient hitopk allocated"
             );
+        }
+    }
+
+    #[test]
+    fn fused_exchange_charges_one_framed_message_per_inter_hop() {
+        // The fused all-gather ships (values, indices) as one framed
+        // message per ring hop where the staged one ships two, so under
+        // drops a fused rank sends `q - 1` fewer messages per invocation
+        // and walks a prefix of the staged run's per-pair hop counters.
+        let (m, n, d, rho, rounds) = (3usize, 2usize, 96usize, 0.1f64, 4u64);
+        let run = |intra: Intra| {
+            run_on_group(m * n, |peer| {
+                let rp = ResilientPeer::new(peer, hostile(31), ResiliencePolicy::default());
+                let mut ef = ErrorFeedback::new(shards(d, n)[peer.rank() % n].len());
+                let mut scratch = CommScratch::new();
+                let mut outs = Vec::new();
+                for round in 0..rounds as usize {
+                    let mut x = vec_for(10 * round + peer.rank(), d);
+                    let mut route = Route {
+                        intra,
+                        ..Route::new(m, n, rho)
+                    };
+                    hitopk_all_reduce(
+                        &rp,
+                        &mut x,
+                        &mut route,
+                        None,
+                        &mut SortTopK,
+                        Some(&mut ef),
+                        &mut scratch,
+                        None,
+                    );
+                    outs.push(x);
+                }
+                (outs, rp.report())
+            })
+        };
+        let staged = run(Intra::Staged);
+        let fused = run(Intra::Fused);
+        let staged_drops: u64 = staged.iter().map(|(_, r)| r.drops).sum();
+        assert!(staged_drops > 0, "the plan must drop something");
+        for (r, ((xs, s), (xf, f))) in staged.iter().zip(&fused).enumerate() {
+            assert_eq!(xs, xf, "rank {r}: aggregates differ");
+            assert_eq!(s.hops - f.hops, rounds * (m as u64 - 1), "rank {r}");
+            assert_eq!(s.degraded_members, f.degraded_members, "rank {r}");
+            assert!(f.drops <= s.drops && f.retries <= s.retries, "rank {r}");
+            assert!(f.virtual_delay <= s.virtual_delay, "rank {r}");
         }
     }
 

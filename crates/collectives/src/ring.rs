@@ -1,10 +1,15 @@
 //! Ring collectives over an arbitrary member subset.
 //!
 //! Every function takes a `members` slice — the global ranks participating,
-//! in a fixed order shared by all callers — and the calling peer must be one
+//! in a fixed order shared by all callers — and the calling rank must be one
 //! of them. Sub-communicators are therefore just rank lists: the 2D-torus
 //! and hierarchical algorithms pass "the GPUs of my node" or "the j-th GPU
 //! of every node".
+//!
+//! Every primitive is written once over the [`Link`] transport, so the same
+//! schedule runs over a plain [`crate::Peer`] or a fault-charging wrapper
+//! (`ResilientPeer` walks each hop through its retry ladder; the payloads
+//! always arrive, so the results are bitwise identical).
 //!
 //! Chunking follows `cloudtrain_tensor::partition`: member `r` (by position
 //! in `members`) ends a ReduceScatter owning shard `r`, matching Eq. (4) of
@@ -13,21 +18,8 @@
 use cloudtrain_tensor::ops;
 use cloudtrain_tensor::partition::{shard_for, shards, Shard};
 
-use crate::group::Peer;
+use crate::group::{member_index, Link};
 use crate::scratch::CommScratch;
-
-/// Position of `rank` within `members`.
-///
-/// # Panics
-/// Panics if `rank` is not a member — collectives must only be called by
-/// participants.
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, documented in the Panics section above")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
-}
 
 /// Ring ReduceScatter over `members`: on return, `x` holds the fully
 /// reduced values in this member's own shard (other positions of `x` hold
@@ -35,8 +27,8 @@ fn member_index(members: &[usize], rank: usize) -> usize {
 ///
 /// Cost: `P-1` steps, each transferring `d/P` elements — Eq. (7) with
 /// per-byte volume `(P-1) d/P`.
-pub fn ring_reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Shard {
-    ring_reduce_scatter_scratch(peer, x, members, &mut CommScratch::new())
+pub fn ring_reduce_scatter<L: Link + ?Sized>(link: &L, x: &mut [f32], members: &[usize]) -> Shard {
+    ring_reduce_scatter_scratch(link, x, members, &mut CommScratch::new())
 }
 
 /// [`ring_reduce_scatter`] drawing its per-hop send buffers from `scratch`.
@@ -44,14 +36,14 @@ pub fn ring_reduce_scatter(peer: &Peer, x: &mut [f32], members: &[usize]) -> Sha
 /// Each hop takes one pooled buffer (the outgoing copy) and recycles the
 /// buffer it received, so the pool's flow is balanced and steady-state
 /// iterations allocate nothing.
-pub fn ring_reduce_scatter_scratch(
-    peer: &Peer,
+pub fn ring_reduce_scatter_scratch<L: Link + ?Sized>(
+    link: &L,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) -> Shard {
     let p = members.len();
-    let me = member_index(members, peer.rank());
+    let me = member_index(members, link.rank());
     let d = x.len();
     if p == 1 {
         return shard_for(d, 1, 0);
@@ -66,8 +58,8 @@ pub fn ring_reduce_scatter_scratch(
         let send_idx = (me + p - s - 1) % p;
         let recv_idx = (me + 2 * p - s - 2) % p;
         let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        peer.send_f32(right, send_chunk);
-        let recv = peer.recv_f32(left);
+        link.send_f32(right, send_chunk);
+        let recv = link.recv_f32(left);
         ops::add_assign(chunks[recv_idx].slice_mut(x), &recv);
         scratch.put_f32(recv);
     }
@@ -79,20 +71,20 @@ pub fn ring_reduce_scatter_scratch(
 /// holds all shards.
 ///
 /// Cost: `P-1` steps of `d/P` elements each.
-pub fn ring_all_gather(peer: &Peer, x: &mut [f32], members: &[usize]) {
-    ring_all_gather_scratch(peer, x, members, &mut CommScratch::new());
+pub fn ring_all_gather<L: Link + ?Sized>(link: &L, x: &mut [f32], members: &[usize]) {
+    ring_all_gather_scratch(link, x, members, &mut CommScratch::new());
 }
 
 /// [`ring_all_gather`] drawing its per-hop send buffers from `scratch`
 /// (take one, recycle one — see [`ring_reduce_scatter_scratch`]).
-pub fn ring_all_gather_scratch(
-    peer: &Peer,
+pub fn ring_all_gather_scratch<L: Link + ?Sized>(
+    link: &L,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) {
     let p = members.len();
-    let me = member_index(members, peer.rank());
+    let me = member_index(members, link.rank());
     if p == 1 {
         return;
     }
@@ -105,8 +97,8 @@ pub fn ring_all_gather_scratch(
         let send_idx = (me + p - s) % p;
         let recv_idx = (me + 2 * p - s - 1) % p;
         let send_chunk = scratch.copy_f32(chunks[send_idx].slice(x));
-        peer.send_f32(right, send_chunk);
-        let recv = peer.recv_f32(left);
+        link.send_f32(right, send_chunk);
+        let recv = link.recv_f32(left);
         chunks[recv_idx].slice_mut(x).copy_from_slice(&recv);
         scratch.put_f32(recv);
     }
@@ -114,19 +106,79 @@ pub fn ring_all_gather_scratch(
 
 /// Ring AllReduce = ReduceScatter + AllGather. On return every member's `x`
 /// holds the element-wise sum over all members.
-pub fn ring_all_reduce(peer: &Peer, x: &mut [f32], members: &[usize]) {
-    ring_all_reduce_scratch(peer, x, members, &mut CommScratch::new());
+pub fn ring_all_reduce<L: Link + ?Sized>(link: &L, x: &mut [f32], members: &[usize]) {
+    ring_all_reduce_scratch(link, x, members, &mut CommScratch::new());
 }
 
 /// [`ring_all_reduce`] drawing all per-hop buffers from `scratch`.
-pub fn ring_all_reduce_scratch(
-    peer: &Peer,
+pub fn ring_all_reduce_scratch<L: Link + ?Sized>(
+    link: &L,
     x: &mut [f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) {
-    ring_reduce_scatter_scratch(peer, x, members, scratch);
-    ring_all_gather_scratch(peer, x, members, scratch);
+    ring_reduce_scatter_scratch(link, x, members, scratch);
+    ring_all_gather_scratch(link, x, members, scratch);
+}
+
+/// The two wire element types — `f32` values and `u32` indices — so the
+/// variable-payload AllGather is written once.
+trait Wire: Copy {
+    fn send<L: Link + ?Sized>(link: &L, to: usize, data: Vec<Self>);
+    fn recv<L: Link + ?Sized>(link: &L, from: usize) -> Vec<Self>;
+    fn copy(scratch: &mut CommScratch, src: &[Self]) -> Vec<Self>;
+}
+
+impl Wire for f32 {
+    fn send<L: Link + ?Sized>(link: &L, to: usize, data: Vec<f32>) {
+        link.send_f32(to, data);
+    }
+    fn recv<L: Link + ?Sized>(link: &L, from: usize) -> Vec<f32> {
+        link.recv_f32(from)
+    }
+    fn copy(scratch: &mut CommScratch, src: &[f32]) -> Vec<f32> {
+        scratch.copy_f32(src)
+    }
+}
+
+impl Wire for u32 {
+    fn send<L: Link + ?Sized>(link: &L, to: usize, data: Vec<u32>) {
+        link.send_u32(to, data);
+    }
+    fn recv<L: Link + ?Sized>(link: &L, from: usize) -> Vec<u32> {
+        link.recv_u32(from)
+    }
+    fn copy(scratch: &mut CommScratch, src: &[u32]) -> Vec<u32> {
+        scratch.copy_u32(src)
+    }
+}
+
+/// Ring pipeline of variable blocks: `P-1` steps forwarding the youngest
+/// block, each hop a pooled copy (the forwarded block stays in `blocks`
+/// for the caller while its copy rides the channel).
+fn all_gather_blocks<T: Wire, L: Link + ?Sized>(
+    link: &L,
+    mine: &[T],
+    members: &[usize],
+    scratch: &mut CommScratch,
+) -> Vec<Vec<T>> {
+    let p = members.len();
+    let me = member_index(members, link.rank());
+    let mut blocks: Vec<Option<Vec<T>>> = (0..p).map(|_| None).collect();
+    blocks[me] = Some(T::copy(scratch, mine));
+    let right = members[(me + 1) % p];
+    let left = members[(me + p - 1) % p];
+    for s in 0..p - 1 {
+        let send_idx = (me + p - s) % p;
+        let recv_idx = (me + 2 * p - s - 1) % p;
+        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
+        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
+        let payload = T::copy(scratch, src);
+        T::send(link, right, payload);
+        blocks[recv_idx] = Some(T::recv(link, left));
+    }
+    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
+    blocks.into_iter().map(Option::unwrap).collect()
 }
 
 /// AllGather of variable payloads: every member contributes `mine` and
@@ -136,8 +188,12 @@ pub fn ring_all_reduce_scratch(
 /// 12–13), where each member contributes exactly `k` values and `k` indices.
 /// Implemented as a ring pipeline: `P-1` steps forwarding the youngest
 /// block.
-pub fn all_gather_f32(peer: &Peer, mine: &[f32], members: &[usize]) -> Vec<Vec<f32>> {
-    all_gather_f32_scratch(peer, mine, members, &mut CommScratch::new())
+pub fn all_gather_f32<L: Link + ?Sized>(
+    link: &L,
+    mine: &[f32],
+    members: &[usize],
+) -> Vec<Vec<f32>> {
+    all_gather_f32_scratch(link, mine, members, &mut CommScratch::new())
 }
 
 /// [`all_gather_f32`] drawing its block copies from `scratch`.
@@ -145,35 +201,56 @@ pub fn all_gather_f32(peer: &Peer, mine: &[f32], members: &[usize]) -> Vec<Vec<f
 /// Ownership contract: the returned blocks belong to the caller; to keep
 /// the pool balanced across iterations the caller should `put_f32` each
 /// block back once consumed (the hierarchical collectives do).
-pub fn all_gather_f32_scratch(
-    peer: &Peer,
+pub fn all_gather_f32_scratch<L: Link + ?Sized>(
+    link: &L,
     mine: &[f32],
     members: &[usize],
     scratch: &mut CommScratch,
 ) -> Vec<Vec<f32>> {
-    let p = members.len();
-    let me = member_index(members, peer.rank());
-    let mut blocks: Vec<Option<Vec<f32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_f32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // Pooled copy instead of a per-hop clone: the forwarded block stays
-        // in `blocks` for the caller while its copy rides the channel.
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_f32(src);
-        peer.send_f32(right, payload);
-        blocks[recv_idx] = Some(peer.recv_f32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
+    all_gather_blocks(link, mine, members, scratch)
+}
+
+/// AllGather of index payloads (see [`all_gather_f32`]).
+pub fn all_gather_u32<L: Link + ?Sized>(
+    link: &L,
+    mine: &[u32],
+    members: &[usize],
+) -> Vec<Vec<u32>> {
+    all_gather_u32_scratch(link, mine, members, &mut CommScratch::new())
+}
+
+/// [`all_gather_u32`] drawing its block copies from `scratch` (ownership
+/// contract as in [`all_gather_f32_scratch`]).
+pub fn all_gather_u32_scratch<L: Link + ?Sized>(
+    link: &L,
+    mine: &[u32],
+    members: &[usize],
+    scratch: &mut CommScratch,
+) -> Vec<Vec<u32>> {
+    all_gather_blocks(link, mine, members, scratch)
+}
+
+/// Packs a `(values, indices)` pair into one `u32` frame
+/// `[len, indices…, value-bits…]` (values ride as `f32::to_bits`
+/// reinterpretations; no arithmetic ever touches the bit-cast words).
+pub(crate) fn frame_pair(values: &[f32], indices: &[u32], scratch: &mut CommScratch) -> Vec<u32> {
+    let mut frame = scratch.take_u32(0);
+    frame.push(values.len() as u32);
+    frame.extend(indices.iter().copied());
+    frame.extend(values.iter().map(|v| v.to_bits()));
+    frame
+}
+
+/// Unpacks a frame built by [`frame_pair`], recycling the frame buffer.
+pub(crate) fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f32>, Vec<u32>) {
+    let mut words = block.iter().copied();
+    let len = words.next().unwrap_or(0) as usize;
+    let mut idxs = scratch.take_u32(0);
+    idxs.extend(words.by_ref().take(len));
+    let mut vals = scratch.take_f32(0);
+    vals.extend(words.by_ref().take(len).map(f32::from_bits));
+    scratch.put_u32(block);
+    (vals, idxs)
 }
 
 /// AllGather of `(values, indices)` pairs in **one** ring pipeline.
@@ -183,15 +260,15 @@ pub fn all_gather_f32_scratch(
 /// round-trips for what is logically one block exchange. This primitive
 /// frames each member's pair as a single `u32` payload
 /// `[len, indices…, value-bits…]` (values ride as `f32::to_bits`
-/// reinterpretations; no arithmetic ever touches the bit-cast words), so
-/// the exchange costs `P-1` hops. Blocks come back split into owned
-/// `(values, indices)` pairs in member order, bit-exact — downstream
-/// consumers see exactly what the two-pipeline idiom would have produced.
+/// reinterpretations), so the exchange costs `P-1` hops. Blocks come back
+/// split into owned `(values, indices)` pairs in member order, bit-exact —
+/// downstream consumers see exactly what the two-pipeline idiom would have
+/// produced.
 ///
 /// Ownership contract as in [`all_gather_f32_scratch`]: the caller recycles
 /// each returned pair (`put_f32` + `put_u32`) once consumed.
-pub fn all_gather_pairs_scratch(
-    peer: &Peer,
+pub fn all_gather_pairs_scratch<L: Link + ?Sized>(
+    link: &L,
     values: &[f32],
     indices: &[u32],
     members: &[usize],
@@ -202,61 +279,13 @@ pub fn all_gather_pairs_scratch(
         indices.len(),
         "all_gather_pairs: values and indices must pair up"
     );
-    let mut mine = scratch.take_u32(0);
-    mine.push(values.len() as u32);
-    mine.extend(indices.iter().copied());
-    mine.extend(values.iter().map(|v| v.to_bits()));
-    let framed = all_gather_u32_scratch(peer, &mine, members, scratch);
+    let mine = frame_pair(values, indices, scratch);
+    let framed = all_gather_u32_scratch(link, &mine, members, scratch);
     scratch.put_u32(mine);
     framed
         .into_iter()
-        .map(|block| {
-            let mut words = block.iter().copied();
-            let len = words.next().unwrap_or(0) as usize;
-            let mut idxs = scratch.take_u32(0);
-            idxs.extend(words.by_ref().take(len));
-            let mut vals = scratch.take_f32(0);
-            vals.extend(words.by_ref().take(len).map(f32::from_bits));
-            scratch.put_u32(block);
-            (vals, idxs)
-        })
+        .map(|block| unframe_pair(block, scratch))
         .collect()
-}
-
-/// AllGather of index payloads (see [`all_gather_f32`]).
-pub fn all_gather_u32(peer: &Peer, mine: &[u32], members: &[usize]) -> Vec<Vec<u32>> {
-    all_gather_u32_scratch(peer, mine, members, &mut CommScratch::new())
-}
-
-/// [`all_gather_u32`] drawing its block copies from `scratch` (ownership
-/// contract as in [`all_gather_f32_scratch`]).
-pub fn all_gather_u32_scratch(
-    peer: &Peer,
-    mine: &[u32],
-    members: &[usize],
-    scratch: &mut CommScratch,
-) -> Vec<Vec<u32>> {
-    let p = members.len();
-    let me = member_index(members, peer.rank());
-    let mut blocks: Vec<Option<Vec<u32>>> = vec![None; p];
-    blocks[me] = Some(scratch.copy_u32(mine));
-    if p == 1 {
-        // lint:allow(panic_free, reason = "single-member ring: the only block was filled on the previous line")
-        return blocks.into_iter().map(Option::unwrap).collect();
-    }
-    let right = members[(me + 1) % p];
-    let left = members[(me + p - 1) % p];
-    for s in 0..p - 1 {
-        let send_idx = (me + p - s) % p;
-        let recv_idx = (me + 2 * p - s - 1) % p;
-        // lint:allow(panic_free, reason = "the ring schedule fills block s before step s sends it; a hole is an unconditional schedule bug")
-        let src = blocks[send_idx].as_deref().expect("ring schedule hole");
-        let payload = scratch.copy_u32(src);
-        peer.send_u32(right, payload);
-        blocks[recv_idx] = Some(peer.recv_u32(left));
-    }
-    // lint:allow(panic_free, reason = "after p-1 ring steps every block has been received; a hole is an unconditional schedule bug")
-    blocks.into_iter().map(Option::unwrap).collect()
 }
 
 #[cfg(test)]

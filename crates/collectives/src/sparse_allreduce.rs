@@ -33,95 +33,55 @@
 //! **Determinism contract.** For every index, contributions accumulate in
 //! inter-member order — the same order HiTopKComm's scatter-accumulate uses
 //! — so with the same compressor state the aggregated vector is *bitwise
-//! identical* to `hitopk_all_reduce*`'s. Only the wire schedule (and hence
-//! the byte accounting) differs. The same twin discipline as the rest of
-//! the crate applies: scratch, traced, identity-reordered, clean-resilient
-//! and clean-deadline variants are all bitwise identical to the plain one.
+//! identical* to the all-gather exchange's. Only the wire schedule (and
+//! hence the byte accounting) differs.
+//!
+//! This module is step 3 of [`crate::hierarchical::hitopk_all_reduce`]
+//! under [`crate::hierarchical::Inter::SplitMerge`]; transport, member
+//! order, error feedback, value codec and tracing are the pipeline's
+//! arguments, shared with the all-gather exchange.
 
-use cloudtrain_compress::quantize::Quantizer;
-use cloudtrain_compress::{Compressor, ErrorFeedback, SparseGrad};
-use cloudtrain_obs::{self as obs, Registry};
-use cloudtrain_tensor::ops;
-use cloudtrain_tensor::partition::{shard_for, shards, Shard};
+use cloudtrain_compress::SparseGrad;
+use cloudtrain_tensor::partition::{shards, Shard};
 
-use crate::deadline::{DeadlineFaults, DeadlinePolicy, DeadlineReport};
-use crate::group::Peer;
-use crate::hierarchical::{pair_wire_bytes, shard_k};
-use crate::reorder::inter_members_ordered;
-use crate::resilience::{
-    all_gather_f32_resilient, all_gather_u32_resilient, ring_all_gather_resilient,
-    ring_reduce_scatter_resilient, ResilientPeer,
-};
-use crate::ring::{all_gather_pairs_scratch, ring_all_gather_scratch, ring_reduce_scatter_scratch};
+use crate::group::{member_index, Link};
+use crate::ring::{frame_pair, unframe_pair};
 use crate::scratch::CommScratch;
-use crate::torus::{grid_pos, inter_node_members, intra_node_members};
 
-/// Per-invocation statistics of an O(k) sparse allreduce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OkSparseReport {
-    /// Elements selected per shard (`k̃ = ρ·d/n`, same budget as HiTopKComm).
-    pub k_per_shard: usize,
-    /// Entries in this member's merged (reduced) partition list — the
-    /// payload of its AllGather contribution. At most its range length.
-    pub merged_len: usize,
-    /// Distinct nonzero coordinates in this GPU's aggregated shard
-    /// (identical to the HiTopKComm twin's by the determinism contract).
-    pub shard_nonzeros: usize,
-    /// Bytes this GPU sent over the inter-node links: split partitions
-    /// plus the merged-list broadcast.
-    pub inter_bytes_sent: usize,
+/// The outcome of one split-and-merge: this member's merged (already
+/// reduced) range list, ready for the AllGather, plus the split sizes the
+/// byte report needs.
+pub(crate) struct Split {
+    /// Merged values, ascending index order (scratch-backed).
+    pub values: Vec<f32>,
+    /// Merged shard-relative indices (scratch-backed).
+    pub indices: Vec<u32>,
+    /// Per-member split partition lengths, by inter ordinal.
+    lens: Vec<usize>,
+    /// This member's inter ordinal.
+    me: usize,
 }
 
-/// What [`aggregate_selection`] measured while aggregating one selection.
-struct AggregateStats {
-    /// Selection entries sent away during the split (everything not in this
-    /// member's own range).
-    split_entries_sent: usize,
-    /// Per-member split partition lengths (indexed by inter ordinal),
-    /// for wire formats with per-message overhead.
-    split_lens: Vec<usize>,
-    /// Entries in this member's merged list.
-    merged_len: usize,
-    /// Nonzeros in the aggregated shard.
-    shard_nonzeros: usize,
-}
+impl Split {
+    /// Lengths of the partitions sent away (every member but this one).
+    pub fn sent_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.lens
+            .iter()
+            .enumerate()
+            .filter(move |(t, _)| *t != self.me)
+            .map(|(_, len)| *len)
+    }
 
-/// Position of `rank` within `members` (panics for non-members, mirroring
-/// the plain ring collectives).
-fn member_index(members: &[usize], rank: usize) -> usize {
-    members
-        .iter()
-        .position(|&m| m == rank)
-        // lint:allow(panic_free, reason = "a rank outside its own member list is a schedule construction bug, mirroring the plain ring collectives")
-        .unwrap_or_else(|| panic!("rank {rank} is not in members {members:?}"))
+    /// Selection entries sent away during the split.
+    pub fn sent_entries(&self) -> usize {
+        self.sent_lens().sum()
+    }
 }
 
 /// Owner ordinal of shard-relative index `idx` under the balanced
 /// contiguous partition `ranges`.
 fn owner_of(ranges: &[Shard], idx: usize) -> usize {
     ranges.partition_point(|r| r.end <= idx)
-}
-
-/// Packs a `(values, indices)` pair into one `u32` frame:
-/// `[len, indices…, value-bits…]`. The inverse of [`unframe_pair`].
-fn frame_pair(values: &[f32], indices: &[u32], scratch: &mut CommScratch) -> Vec<u32> {
-    let mut frame = scratch.take_u32(0);
-    frame.push(values.len() as u32);
-    frame.extend(indices.iter().copied());
-    frame.extend(values.iter().map(|v| v.to_bits()));
-    frame
-}
-
-/// Unpacks a frame built by [`frame_pair`], recycling the frame buffer.
-fn unframe_pair(block: Vec<u32>, scratch: &mut CommScratch) -> (Vec<f32>, Vec<u32>) {
-    let mut words = block.iter().copied();
-    let len = words.next().unwrap_or(0) as usize;
-    let mut idxs = scratch.take_u32(0);
-    idxs.extend(words.by_ref().take(len));
-    let mut vals = scratch.take_f32(0);
-    vals.extend(words.by_ref().take(len).map(f32::from_bits));
-    scratch.put_u32(block);
-    (vals, idxs)
 }
 
 /// Splits `selection` by owner range into `q` scratch-backed partition
@@ -142,10 +102,8 @@ fn split_by_owner(
     (part_vals, part_idxs)
 }
 
-/// Merges partition lists into a dense accumulator over `my_range` (in the
-/// order the closure yields them), then extracts the merged nonzero list in
-/// ascending index order. Returns `(merged_vals, merged_idxs)` — both
-/// scratch-backed, indices shard-relative.
+/// Accumulates one partition list into the dense accumulator over
+/// `my_range`.
 fn merge_into_range(acc: &mut [f32], my_range: Shard, vals: &[f32], idxs: &[u32]) {
     for (v, i) in vals.iter().zip(idxs) {
         let off = *i as usize - my_range.start;
@@ -153,48 +111,46 @@ fn merge_into_range(acc: &mut [f32], my_range: Shard, vals: &[f32], idxs: &[u32]
     }
 }
 
-/// The split → merge → AllGather → scatter core, shared by the plain, EF,
-/// reordered, deadline and quantized variants. `selection` is this member's
-/// (possibly empty, possibly lossy) shard-relative contribution; `inter`
-/// fixes both the member order of the reduction and the partition
-/// ownership.
-fn aggregate_selection(
-    peer: &Peer,
-    x: &mut [f32],
-    shard: Shard,
+/// Split and merge: sends partition `t` of this member's `selection` (over
+/// a `shard_len`-element shard) to inter member `t`, then reduces the `q`
+/// partition lists of its own range in member order and extracts the
+/// ascending-index nonzeros. `inter` fixes both the member order of the
+/// reduction and the partition ownership.
+pub(crate) fn split_merge<L: Link + ?Sized>(
+    link: &L,
+    shard_len: usize,
     selection: &SparseGrad,
     inter: &[usize],
     scratch: &mut CommScratch,
-) -> AggregateStats {
+) -> Split {
     let q = inter.len();
-    let me_ord = member_index(inter, peer.rank());
-    let ranges = shards(shard.len(), q);
-    let my_range = ranges[me_ord];
+    let me = member_index(inter, link.rank());
+    let ranges = shards(shard_len, q);
+    let my_range = ranges[me];
 
     // Split: send partition `t` to inter member `t` (non-blocking sends,
     // so every member can post all q-1 sends before its first receive —
     // deadlock-free without any ordering between groups).
     let (part_vals, part_idxs) = split_by_owner(selection, &ranges, scratch);
-    let split_lens: Vec<usize> = part_vals.iter().map(Vec::len).collect();
-    let split_entries_sent = selection.values.len() - split_lens[me_ord];
+    let lens: Vec<usize> = part_vals.iter().map(Vec::len).collect();
     for t in 0..q {
-        if t == me_ord {
+        if t == me {
             continue;
         }
         let frame = frame_pair(&part_vals[t], &part_idxs[t], scratch);
-        peer.send_u32(inter[t], frame);
+        link.send_u32(inter[t], frame);
     }
 
     // Merge: accumulate the q partition lists for my range in member order
     // (own partition at its ordinal), then extract ascending-index
     // nonzeros. Per index this is the same member-order accumulation the
-    // hitopk scatter performs — the bitwise-identity hinge.
+    // all-gather scatter performs — the bitwise-identity hinge.
     let mut acc = scratch.take_f32(my_range.len());
     for (t, member) in inter.iter().enumerate() {
-        if t == me_ord {
+        if t == me {
             merge_into_range(&mut acc, my_range, &part_vals[t], &part_idxs[t]);
         } else {
-            let (vals, idxs) = unframe_pair(peer.recv_u32(*member), scratch);
+            let (vals, idxs) = unframe_pair(link.recv_u32(*member), scratch);
             merge_into_range(&mut acc, my_range, &vals, &idxs);
             scratch.put_f32(vals);
             scratch.put_u32(idxs);
@@ -204,624 +160,96 @@ fn aggregate_selection(
         scratch.put_f32(vals);
         scratch.put_u32(idxs);
     }
-    let mut merged_vals = scratch.take_f32(0);
-    let mut merged_idxs = scratch.take_u32(0);
+    let mut values = scratch.take_f32(0);
+    let mut indices = scratch.take_u32(0);
     for (off, v) in acc.iter().enumerate() {
         if *v != 0.0 {
-            merged_vals.push(*v);
-            merged_idxs.push((my_range.start + off) as u32);
+            values.push(*v);
+            indices.push((my_range.start + off) as u32);
         }
     }
     scratch.put_f32(acc);
-    let merged_len = merged_vals.len();
-
-    // AllGather of the merged (already reduced) lists, then one scatter per
-    // block into the zeroed shard. Ranges are disjoint, so each coordinate
-    // is written exactly once.
-    let blocks = all_gather_pairs_scratch(peer, &merged_vals, &merged_idxs, inter, scratch);
-    scratch.put_f32(merged_vals);
-    scratch.put_u32(merged_idxs);
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in blocks {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
+    Split {
+        values,
+        indices,
+        lens,
+        me,
     }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
-
-    AggregateStats {
-        split_entries_sent,
-        split_lens,
-        merged_len,
-        shard_nonzeros,
-    }
-}
-
-/// Standard byte accounting for one O(k) invocation: split partitions out
-/// (values + indices each) plus the merged broadcast to `q - 1` members.
-fn ok_sparse_wire_bytes(stats: &AggregateStats, q: usize) -> usize {
-    pair_wire_bytes(stats.split_entries_sent) + pair_wire_bytes(stats.merged_len) * (q - 1)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn ok_sparse_impl<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    mut ef: Option<&mut ErrorFeedback>,
-    node_order: Option<&[usize]>,
-    scratch: &mut CommScratch,
-    mut reg: Option<&mut Registry>,
-) -> OkSparseReport {
-    assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = match node_order {
-        Some(order) => inter_members_ordered(pos.gpu, order, n),
-        None => inter_node_members(pos.gpu, m, n),
-    };
-
-    let span = obs::span_begin(&mut reg, "oksparse/intra reduce-scatter");
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    obs::span_end(&mut reg, span, d as f64);
-    debug_assert_eq!(shard, shard_for(d, n, pos.gpu));
-    if let Some(ef) = ef.as_ref() {
-        assert_eq!(
-            ef.dim(),
-            shard.len(),
-            "ok_sparse_all_reduce_ef: residual must match the shard"
-        );
-    }
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let span = obs::span_begin(&mut reg, "oksparse/top-k compression");
-    let shard_buf = shard.slice_mut(x);
-    let selection: SparseGrad = match ef.as_mut() {
-        Some(ef) => {
-            ef.compensate(shard_buf);
-            let sel = compressor.compress(shard_buf, k);
-            ef.absorb(shard_buf, &sel);
-            sel
-        }
-        None => compressor.compress(shard_buf, k),
-    };
-    obs::span_end(&mut reg, span, shard.len() as f64);
-
-    let span = obs::span_begin(&mut reg, "oksparse/inter split-merge");
-    let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
-    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
-    obs::span_end(
-        &mut reg,
-        span,
-        (2 * (stats.split_entries_sent + stats.merged_len * inter.len())) as f64,
-    );
-
-    let span = obs::span_begin(&mut reg, "oksparse/intra all-gather");
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-    obs::span_end(&mut reg, span, d as f64);
-
-    if let Some(reg) = reg.as_mut() {
-        reg.counter_add("oksparse/invocations", 1);
-        reg.counter_add("oksparse/inter_bytes_sent", inter_bytes_sent as u64);
-        reg.counter_add("oksparse/shard_nonzeros", stats.shard_nonzeros as u64);
-        reg.counter_add("oksparse/merged_len", stats.merged_len as u64);
-        reg.gauge_set("oksparse/k_per_shard", k as f64);
-    }
-
-    OkSparseReport {
-        k_per_shard: k,
-        merged_len: stats.merged_len,
-        shard_nonzeros: stats.shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
-/// O(k) sparse allreduce over an `m × n` grid: HiTopKComm's hierarchy
-/// (dense intra-node ReduceScatter, per-shard top-k, dense intra-node
-/// AllGather) with the inter-node AllGather replaced by the split-and-merge
-/// schedule. On return every rank's `x` holds the identical aggregated
-/// vector — bitwise equal to [`crate::hierarchical::hitopk_all_reduce`]'s
-/// with the same compressor state.
-///
-/// # Examples
-/// ```
-/// use cloudtrain_collectives::group::run_on_group;
-/// use cloudtrain_collectives::sparse_allreduce::ok_sparse_all_reduce;
-/// use cloudtrain_compress::MsTopK;
-///
-/// // 2 nodes x 2 GPUs aggregate sparsified gradients at density 0.25.
-/// let results = run_on_group(4, |peer| {
-///     let mut grad = vec![peer.rank() as f32 + 1.0; 64];
-///     grad[peer.rank()] = 100.0;
-///     let mut topk = MsTopK::new(30, peer.rank() as u64);
-///     ok_sparse_all_reduce(peer, &mut grad, 2, 2, 0.25, &mut topk);
-///     grad
-/// });
-/// assert!(results.iter().all(|r| r == &results[0]));
-/// ```
-///
-/// # Panics
-/// Panics if the group size is not `m * n`.
-pub fn ok_sparse_all_reduce<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-) -> OkSparseReport {
-    ok_sparse_all_reduce_scratch(peer, x, m, n, rho, compressor, &mut CommScratch::new())
-}
-
-/// [`ok_sparse_all_reduce`] drawing every communication buffer from
-/// `scratch`; allocation-free on the wire path at steady state.
-pub fn ok_sparse_all_reduce_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    ok_sparse_impl(peer, x, m, n, rho, compressor, None, None, scratch, None)
-}
-
-/// [`ok_sparse_all_reduce_scratch`] with per-stage spans and counters
-/// recorded into `reg` (logical work units; bitwise identical to the
-/// untraced twin).
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_traced<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    scratch: &mut CommScratch,
-    reg: &mut Registry,
-) -> OkSparseReport {
-    ok_sparse_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        compressor,
-        None,
-        None,
-        scratch,
-        Some(reg),
-    )
-}
-
-/// O(k) sparse allreduce with error feedback at the sparsification point
-/// (the shard owner's residual, exactly as in
-/// [`crate::hierarchical::hitopk_all_reduce_ef`] — the two are bitwise
-/// interchangeable, so the mass-conservation ledger verifies either).
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-pub fn ok_sparse_all_reduce_ef<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-) -> OkSparseReport {
-    ok_sparse_all_reduce_ef_scratch(peer, x, m, n, rho, compressor, ef, &mut CommScratch::new())
-}
-
-/// [`ok_sparse_all_reduce_ef`] drawing every communication buffer from
-/// `scratch`.
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_ef_scratch<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    ok_sparse_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        compressor,
-        Some(ef),
-        None,
-        scratch,
-        None,
-    )
-}
-
-/// [`ok_sparse_all_reduce_ef_scratch`] with per-stage spans and counters
-/// recorded into `reg`.
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_ef_traced<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-    reg: &mut Registry,
-) -> OkSparseReport {
-    ok_sparse_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        compressor,
-        Some(ef),
-        None,
-        scratch,
-        Some(reg),
-    )
-}
-
-/// [`ok_sparse_all_reduce_ef_scratch`] with the inter-node group visited in
-/// `node_order` (a topology-probed node permutation, as produced by
-/// `crate::reorder`). All ranks must pass the same order. With the identity
-/// order the result is bitwise identical to the plain EF twin; any other
-/// order changes only the floating-point reduction order (and the
-/// partition ownership), never the selected set.
-///
-/// # Panics
-/// Panics if the group size is not `m * n`, `node_order` is not a
-/// permutation of `0..m`, or the residual dimension does not match.
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_ef_reordered<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    node_order: &[usize],
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    assert_eq!(
-        node_order.len(),
-        m,
-        "ok_sparse_all_reduce_ef_reordered: order must cover all m nodes"
-    );
-    ok_sparse_impl(
-        peer,
-        x,
-        m,
-        n,
-        rho,
-        compressor,
-        Some(ef),
-        Some(node_order),
-        scratch,
-        None,
-    )
 }
 
 /// Quantized-wire byte accounting: one scale word plus a 32-bit index and a
 /// packed level code per entry (`ceil(log2(2s+1))` bits each), matching
 /// [`cloudtrain_compress::QuantizedGrad::wire_bytes`]'s packing.
-fn quantized_pair_wire_bytes(entries: usize, levels: u8) -> usize {
+pub(crate) fn quantized_pair_wire_bytes(entries: usize, levels: u8) -> usize {
     let bits = (2 * levels as u32 + 1).next_power_of_two().trailing_zeros() as usize;
     4 + 4 * entries + (entries * bits).div_ceil(8)
-}
-
-/// O(k) sparse allreduce with error feedback and **quantized split values**:
-/// the selection's values are quantized once with `quantizer` (one shared
-/// scale), and the split partitions travel as packed level codes instead of
-/// FP32 — compounding the sparsification with `compress::quantize`'s
-/// value compression on the slowest hop.
-///
-/// The simulation transmits the *decoded* values (each partition's decode
-/// is elementwise, so receivers decoding `(scale, codes)` would reconstruct
-/// them bit-exactly), while `inter_bytes_sent` charges the packed wire
-/// format. The merged lists are sums of decoded values and travel as FP32.
-///
-/// The residual is updated with [`ErrorFeedback::absorb_lossy`] against the
-/// decoded selection, so the per-coordinate quantization error stays in the
-/// residual and the mass-conservation ledger holds exactly — the lossy wire
-/// loses no gradient mass, it only defers it.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_ef_quantized<C: Compressor + ?Sized, Q: Quantizer + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    quantizer: &mut Q,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "ok_sparse_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    let exact = compressor.compress(shard_buf, k);
-    let q = quantizer.quantize(&exact.values);
-    let levels = q.levels;
-    let selection = SparseGrad {
-        values: q.decode(),
-        indices: exact.indices,
-        dim: exact.dim,
-    };
-    ef.absorb_lossy(shard_buf, &selection);
-
-    let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
-    let me_ord = member_index(&inter, peer.rank());
-    let split_bytes: usize = stats
-        .split_lens
-        .iter()
-        .enumerate()
-        .filter(|(t, _)| *t != me_ord)
-        .map(|(_, len)| quantized_pair_wire_bytes(*len, levels))
-        .sum();
-    let inter_bytes_sent = split_bytes + pair_wire_bytes(stats.merged_len) * (inter.len() - 1);
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
-    OkSparseReport {
-        k_per_shard: k,
-        merged_len: stats.merged_len,
-        shard_nonzeros: stats.shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
-/// The split → merge → AllGather → scatter core over a [`ResilientPeer`]:
-/// every hop charged through the fault plan and retry policy. The payloads
-/// always arrive (drops cost retries, not data), so with any plan the
-/// aggregation values match the plain core's bitwise.
-fn aggregate_selection_resilient(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    shard: Shard,
-    selection: &SparseGrad,
-    inter: &[usize],
-    scratch: &mut CommScratch,
-) -> AggregateStats {
-    let q = inter.len();
-    let me_ord = member_index(inter, rp.rank());
-    let ranges = shards(shard.len(), q);
-    let my_range = ranges[me_ord];
-
-    let (part_vals, part_idxs) = split_by_owner(selection, &ranges, scratch);
-    let split_lens: Vec<usize> = part_vals.iter().map(Vec::len).collect();
-    let split_entries_sent = selection.values.len() - split_lens[me_ord];
-    for t in 0..q {
-        if t == me_ord {
-            continue;
-        }
-        let frame = frame_pair(&part_vals[t], &part_idxs[t], scratch);
-        rp.send_u32(inter[t], frame);
-    }
-
-    let mut acc = scratch.take_f32(my_range.len());
-    for t in 0..q {
-        if t == me_ord {
-            merge_into_range(&mut acc, my_range, &part_vals[t], &part_idxs[t]);
-        } else {
-            let (vals, idxs) = unframe_pair(rp.recv_u32(inter[t]), scratch);
-            merge_into_range(&mut acc, my_range, &vals, &idxs);
-            scratch.put_f32(vals);
-            scratch.put_u32(idxs);
-        }
-    }
-    for (vals, idxs) in part_vals.into_iter().zip(part_idxs) {
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let mut merged_vals = scratch.take_f32(0);
-    let mut merged_idxs = scratch.take_u32(0);
-    for (off, v) in acc.iter().enumerate() {
-        if *v != 0.0 {
-            merged_vals.push(*v);
-            merged_idxs.push((my_range.start + off) as u32);
-        }
-    }
-    scratch.put_f32(acc);
-    let merged_len = merged_vals.len();
-
-    // The resilient gathers are the crate's paired-variant-free ones; the
-    // gathered *values* match the pairs gather's bitwise, only the message
-    // framing differs.
-    let value_blocks = all_gather_f32_resilient(rp, &merged_vals, inter, scratch);
-    let index_blocks = all_gather_u32_resilient(rp, &merged_idxs, inter, scratch);
-    scratch.put_f32(merged_vals);
-    scratch.put_u32(merged_idxs);
-    let shard_buf = shard.slice_mut(x);
-    ops::fill(shard_buf, 0.0);
-    for (vals, idxs) in value_blocks.into_iter().zip(index_blocks) {
-        ops::scatter_add(shard_buf, &idxs, &vals);
-        scratch.put_f32(vals);
-        scratch.put_u32(idxs);
-    }
-    let shard_nonzeros = shard_buf.iter().filter(|v| **v != 0.0).count();
-
-    AggregateStats {
-        split_entries_sent,
-        split_lens,
-        merged_len,
-        shard_nonzeros,
-    }
-}
-
-/// Resilient O(k) sparse allreduce with error feedback: every hop walks the
-/// drop ladder, and a member whose contribution misses its deadline (per
-/// the fault plan, decided identically on all ranks at the sparsification
-/// point) transmits an empty selection — its whole compensated shard stays
-/// in the residual and is re-injected next invocation. With a clean plan
-/// the result is bitwise identical to [`ok_sparse_all_reduce_ef`].
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)] // mirrors hitopk_all_reduce_ef_resilient's signature
-pub fn ok_sparse_all_reduce_ef_resilient<C: Compressor + ?Sized>(
-    rp: &mut ResilientPeer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    scratch: &mut CommScratch,
-) -> OkSparseReport {
-    assert_eq!(rp.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
-    let instance = rp.begin_instance();
-    let pos = grid_pos(rp.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_resilient(rp, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "ok_sparse_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    // Degradation at the sparsification point, exactly as in the hitopk
-    // twin: a degraded member selects nothing and absorb() keeps its whole
-    // compensated shard as residual.
-    let selection: SparseGrad = if rp.contribution_degraded(instance) {
-        SparseGrad::empty(shard.len())
-    } else {
-        compressor.compress(shard_buf, k)
-    };
-    ef.absorb(shard_buf, &selection);
-
-    let stats = aggregate_selection_resilient(rp, x, shard, &selection, &inter, scratch);
-    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
-
-    ring_all_gather_resilient(rp, x, &intra, scratch);
-
-    OkSparseReport {
-        k_per_shard: k,
-        merged_len: stats.merged_len,
-        shard_nonzeros: stats.shard_nonzeros,
-        inter_bytes_sent,
-    }
-}
-
-/// Deadline-bounded O(k) sparse allreduce with error feedback: the data
-/// flow of [`ok_sparse_all_reduce_ef_scratch`], with this rank's
-/// contribution checked against the lateness budget at the sparsification
-/// point (per *(instance, member)*, never per hop, so replicas stay
-/// bitwise identical). A late member transmits an empty selection; its
-/// compensated shard survives in the residual. With a clean plan the
-/// result is bitwise identical to the plain EF twin.
-///
-/// # Panics
-/// Panics if the group size is not `m * n` or the residual dimension does
-/// not match this rank's shard.
-#[allow(clippy::too_many_arguments)]
-pub fn ok_sparse_all_reduce_ef_deadline<C: Compressor + ?Sized>(
-    peer: &Peer,
-    x: &mut [f32],
-    m: usize,
-    n: usize,
-    rho: f64,
-    compressor: &mut C,
-    ef: &mut ErrorFeedback,
-    instance: u64,
-    faults: &DeadlineFaults,
-    policy: &DeadlinePolicy,
-    scratch: &mut CommScratch,
-) -> (OkSparseReport, DeadlineReport) {
-    assert_eq!(peer.size(), m * n, "ok_sparse_all_reduce: group is not m*n");
-    let d = x.len();
-    let pos = grid_pos(peer.rank(), m, n);
-    let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
-
-    let shard = ring_reduce_scatter_scratch(peer, x, &intra, scratch);
-    assert_eq!(
-        ef.dim(),
-        shard.len(),
-        "ok_sparse_all_reduce_ef: residual must match the shard"
-    );
-
-    let k = shard_k(d, n, rho).min(shard.len());
-    let shard_buf = shard.slice_mut(x);
-    ef.compensate(shard_buf);
-    // Same budget question as the hitopk deadline twin: would this member's
-    // compressed block (k values + k indices) have landed inside the
-    // budget? A miss selects nothing.
-    let mut report = DeadlineReport { hops: 1, missed: 0 };
-    let lateness = faults.contribution_lateness(instance, peer.rank());
-    let wire = pair_wire_bytes(k);
-    let selection: SparseGrad = if policy.hop_missed(wire, lateness) {
-        report.missed = 1;
-        SparseGrad::empty(shard.len())
-    } else {
-        compressor.compress(shard_buf, k)
-    };
-    ef.absorb(shard_buf, &selection);
-
-    let stats = aggregate_selection(peer, x, shard, &selection, &inter, scratch);
-    let inter_bytes_sent = ok_sparse_wire_bytes(&stats, inter.len());
-
-    ring_all_gather_scratch(peer, x, &intra, scratch);
-
-    (
-        OkSparseReport {
-            k_per_shard: k,
-            merged_len: stats.merged_len,
-            shard_nonzeros: stats.shard_nonzeros,
-            inter_bytes_sent,
-        },
-        report,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::run_on_group;
-    use crate::hierarchical::{group_wire_bytes, hitopk_all_reduce, hitopk_all_reduce_ef};
-    use crate::resilience::{CommFaults, ResiliencePolicy};
+    use crate::deadline::{DeadlineFaults, DeadlinePeer, DeadlinePolicy};
+    use crate::group::{run_on_group, Peer};
+    use crate::hierarchical::tests::check_row;
+    use crate::hierarchical::{
+        group_wire_bytes, hitopk_all_reduce, pair_wire_bytes, shard_k, HiTopKReport, Inter, Route,
+    };
+    use crate::resilience::{CommFaults, ResiliencePolicy, ResilientPeer};
     use cloudtrain_compress::exact::SortTopK;
-    use cloudtrain_compress::quantize::Qsgd;
-    use cloudtrain_compress::MsTopK;
-    use cloudtrain_tensor::init;
+    use cloudtrain_compress::quantize::{Qsgd, Quantizer};
+    use cloudtrain_compress::{Compressor, ErrorFeedback, MsTopK};
+    use cloudtrain_obs::Registry;
+    use cloudtrain_tensor::partition::shard_for;
+    use cloudtrain_tensor::{init, ops};
+
+    /// One pipeline call with the given exchange over `link`.
+    #[allow(clippy::too_many_arguments)]
+    fn call<L: Link + ?Sized, C: Compressor + ?Sized>(
+        link: &L,
+        x: &mut [f32],
+        inter: Inter,
+        m: usize,
+        n: usize,
+        rho: f64,
+        c: &mut C,
+        ef: Option<&mut ErrorFeedback>,
+        order: Option<&[usize]>,
+        scratch: &mut CommScratch,
+    ) -> HiTopKReport {
+        let mut route = Route {
+            inter,
+            ..Route::new(m, n, rho)
+        };
+        hitopk_all_reduce(link, x, &mut route, order, c, ef, scratch, None)
+    }
+
+    /// The O(k) pipeline (split-merge exchange) with a fresh arena.
+    fn ok<C: Compressor + ?Sized>(
+        peer: &Peer,
+        x: &mut [f32],
+        m: usize,
+        n: usize,
+        rho: f64,
+        c: &mut C,
+        ef: Option<&mut ErrorFeedback>,
+    ) -> HiTopKReport {
+        let scratch = &mut CommScratch::new();
+        call(peer, x, Inter::SplitMerge, m, n, rho, c, ef, None, scratch)
+    }
+
+    /// The all-gather pipeline with a fresh arena.
+    fn hi<C: Compressor + ?Sized>(
+        peer: &Peer,
+        x: &mut [f32],
+        m: usize,
+        n: usize,
+        rho: f64,
+        c: &mut C,
+        ef: Option<&mut ErrorFeedback>,
+    ) -> HiTopKReport {
+        let scratch = &mut CommScratch::new();
+        call(peer, x, Inter::AllGather, m, n, rho, c, ef, None, scratch)
+    }
 
     fn vec_for(rank: usize, d: usize) -> Vec<f32> {
         let mut rng = init::rng_from_seed(14_000 + rank as u64);
@@ -845,13 +273,13 @@ mod tests {
             let hitopk = run_on_group(m * n, |peer| {
                 let mut x = vec_for(peer.rank(), d);
                 let mut c = MsTopK::new(25, peer.rank() as u64);
-                hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
+                hi(peer, &mut x, m, n, rho, &mut c, None);
                 x
             });
             let oksparse = run_on_group(m * n, |peer| {
                 let mut x = vec_for(peer.rank(), d);
                 let mut c = MsTopK::new(25, peer.rank() as u64);
-                let rep = ok_sparse_all_reduce(peer, &mut x, m, n, rho, &mut c);
+                let rep = ok(peer, &mut x, m, n, rho, &mut c, None);
                 assert!(rep.shard_nonzeros >= 1);
                 x
             });
@@ -861,30 +289,7 @@ mod tests {
 
     #[test]
     fn ef_matches_hitopk_ef_bitwise_over_rounds() {
-        let (m, n, d, rho) = (2usize, 4usize, 300usize, 0.05f64);
-        let run_hitopk = run_on_group(m * n, |peer| {
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut out = Vec::new();
-            for round in 0..3 {
-                let mut x = vec_for(100 * round + peer.rank(), d);
-                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
-                out.push(x);
-            }
-            (out, ef.residual().to_vec())
-        });
-        let run_oksparse = run_on_group(m * n, |peer| {
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut out = Vec::new();
-            for round in 0..3 {
-                let mut x = vec_for(100 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
-                out.push(x);
-            }
-            (out, ef.residual().to_vec())
-        });
-        assert_eq!(run_hitopk, run_oksparse);
+        check_row("hitopk_ef: split-merge vs all-gather");
     }
 
     /// Gradients in the regime sparse training targets: a shared set of
@@ -912,9 +317,9 @@ mod tests {
             let pairs = run_on_group(m * n, move |peer| {
                 let mut x = heavy_hitter_vec(peer.rank(), d);
                 let mut c = SortTopK;
-                let ok = ok_sparse_all_reduce(peer, &mut x, m, n, rho, &mut c);
+                let ok = ok(peer, &mut x, m, n, rho, &mut c, None);
                 let mut y = heavy_hitter_vec(peer.rank(), d);
-                let hi = hitopk_all_reduce(peer, &mut y, m, n, rho, &mut c);
+                let hi = hi(peer, &mut y, m, n, rho, &mut c, None);
                 (ok, hi)
             });
             for (r, (ok, hi)) in pairs.iter().enumerate() {
@@ -934,7 +339,7 @@ mod tests {
         let reports = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
             let mut c = SortTopK;
-            ok_sparse_all_reduce(peer, &mut x, m, n, rho, &mut c)
+            ok(peer, &mut x, m, n, rho, &mut c, None)
         });
         let k = shard_k(d, n, rho);
         for rep in &reports {
@@ -973,14 +378,25 @@ mod tests {
         let plain = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
             let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = ok_sparse_all_reduce(peer, &mut x, m, n, rho, &mut c);
+            let rep = ok(peer, &mut x, m, n, rho, &mut c, None);
             (x, rep)
         });
         let scratched = run_on_group(m * n, |peer| {
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
             let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = ok_sparse_all_reduce_scratch(peer, &mut x, m, n, rho, &mut c, &mut scratch);
+            let rep = call(
+                peer,
+                &mut x,
+                Inter::SplitMerge,
+                m,
+                n,
+                rho,
+                &mut c,
+                None,
+                None,
+                &mut scratch,
+            );
             (x, rep)
         });
         assert_eq!(plain, scratched);
@@ -989,15 +405,19 @@ mod tests {
             let mut reg = Registry::new();
             let mut x = vec_for(peer.rank(), d);
             let mut c = MsTopK::new(25, peer.rank() as u64);
-            let rep = ok_sparse_all_reduce_traced(
+            let mut route = Route {
+                inter: Inter::SplitMerge,
+                ..Route::new(m, n, rho)
+            };
+            let rep = hitopk_all_reduce(
                 peer,
                 &mut x,
-                m,
-                n,
-                rho,
+                &mut route,
+                None,
                 &mut c,
+                None,
                 &mut scratch,
-                &mut reg,
+                Some(&mut reg),
             );
             ((x, rep), reg)
         });
@@ -1025,41 +445,7 @@ mod tests {
 
     #[test]
     fn reordered_identity_is_bitwise_identical() {
-        let (m, n, d, rho) = (3usize, 2usize, 240usize, 0.1f64);
-        let identity: Vec<usize> = (0..m).collect();
-        let run = |order: Option<Vec<usize>>| {
-            run_on_group(m * n, move |peer| {
-                let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut x = vec_for(peer.rank(), d);
-                let rep = match &order {
-                    Some(o) => ok_sparse_all_reduce_ef_reordered(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        o,
-                        &mut scratch,
-                    ),
-                    None => ok_sparse_all_reduce_ef_scratch(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        &mut c,
-                        &mut ef,
-                        &mut scratch,
-                    ),
-                };
-                (x, ef.residual().to_vec(), rep)
-            })
-        };
-        assert_eq!(run(None), run(Some(identity)));
+        check_row("oksparse_ef: identity-order vs plain");
     }
 
     #[test]
@@ -1070,7 +456,7 @@ mod tests {
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+            ok(peer, &mut x, m, n, rho, &mut c, Some(&mut ef));
             x
         });
         let reordered = run_on_group(m * n, move |peer| {
@@ -1078,15 +464,18 @@ mod tests {
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_ef_reordered(
+            let order = Some(rotated.as_slice());
+            let ef = Some(&mut ef);
+            call(
                 peer,
                 &mut x,
+                Inter::SplitMerge,
                 m,
                 n,
                 rho,
                 &mut c,
-                &mut ef,
-                &rotated,
+                ef,
+                order,
                 &mut scratch,
             );
             x
@@ -1101,51 +490,7 @@ mod tests {
 
     #[test]
     fn resilient_clean_plan_is_bitwise_identical_to_plain() {
-        let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
-        let plain = run_on_group(m * n, |peer| {
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut scratch = CommScratch::new();
-            let mut out = Vec::new();
-            for round in 0..2 {
-                let mut x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef_scratch(
-                    peer,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
-                out.push(x);
-            }
-            (out, ef.residual().to_vec())
-        });
-        let resilient = run_on_group(m * n, |peer| {
-            let mut rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut scratch = CommScratch::new();
-            let mut out = Vec::new();
-            for round in 0..2 {
-                let mut x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    &mut c,
-                    &mut ef,
-                    &mut scratch,
-                );
-                out.push(x);
-            }
-            (out, ef.residual().to_vec())
-        });
-        assert_eq!(plain, resilient);
+        check_row("oksparse_ef: clean-resilient vs plain");
     }
 
     #[test]
@@ -1153,21 +498,24 @@ mod tests {
         let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
         let faults = CommFaults::new(11).with_drops(0.2).straggle(5, 0.9);
         let results = run_on_group(m * n, move |peer| {
-            let mut rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
+            let rp = ResilientPeer::new(peer, faults.clone(), ResiliencePolicy::default());
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = Vec::new();
             for round in 0..3 {
                 x = vec_for(60 * round + peer.rank(), d);
-                ok_sparse_all_reduce_ef_resilient(
-                    &mut rp,
+                let ef = Some(&mut ef);
+                call(
+                    &rp,
                     &mut x,
+                    Inter::SplitMerge,
                     m,
                     n,
                     rho,
                     &mut c,
-                    &mut ef,
+                    ef,
+                    None,
                     &mut scratch,
                 );
             }
@@ -1186,39 +534,7 @@ mod tests {
 
     #[test]
     fn deadline_clean_plan_is_bitwise_identical_to_plain() {
-        let (m, n, d, rho) = (2usize, 4usize, 240usize, 0.05f64);
-        // Generous budget, no jitter: nothing misses.
-        let policy = DeadlinePolicy::from_link(5e-5, 4e-10, 8 * d, 1e6);
-        let faults = DeadlineFaults::new(3);
-        let plain = run_on_group(m * n, |peer| {
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
-            (x, ef.residual().to_vec())
-        });
-        let deadline = run_on_group(m * n, move |peer| {
-            let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-            let mut c = SortTopK;
-            let mut scratch = CommScratch::new();
-            let mut x = vec_for(peer.rank(), d);
-            let (_, drep) = ok_sparse_all_reduce_ef_deadline(
-                peer,
-                &mut x,
-                m,
-                n,
-                rho,
-                &mut c,
-                &mut ef,
-                0,
-                &faults,
-                &policy,
-                &mut scratch,
-            );
-            assert_eq!(drep.missed, 0, "clean plan should not miss");
-            (x, ef.residual().to_vec())
-        });
-        assert_eq!(plain, deadline);
+        check_row("oksparse_ef: clean-deadline vs plain");
     }
 
     #[test]
@@ -1239,20 +555,39 @@ mod tests {
             let mut c = SortTopK;
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            let (_, drep) = ok_sparse_all_reduce_ef_deadline(
-                peer,
-                &mut x,
+            let dp = DeadlinePeer::new(peer, faults.clone(), policy);
+            let ef_ref = Some(&mut ef);
+            // Instance 0 is a warm-up the straggler plan may or may not
+            // miss; the checked invocation is instance 1.
+            let mut warm = vec_for(peer.rank(), d);
+            let mut warm_ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
+            let warm_ef = Some(&mut warm_ef);
+            call(
+                &dp,
+                &mut warm,
+                Inter::SplitMerge,
                 m,
                 n,
                 rho,
                 &mut c,
-                &mut ef,
-                1,
-                &faults,
-                &policy,
+                warm_ef,
+                None,
                 &mut scratch,
             );
-            (x, drep.missed, ef.residual_norm())
+            let before = dp.report().missed;
+            call(
+                &dp,
+                &mut x,
+                Inter::SplitMerge,
+                m,
+                n,
+                rho,
+                &mut c,
+                ef_ref,
+                None,
+                &mut scratch,
+            );
+            (x, dp.report().missed - before, ef.residual_norm())
         });
         for r in 1..m * n {
             assert_eq!(results[0].0, results[r].0, "rank {r} replica diverged");
@@ -1274,7 +609,7 @@ mod tests {
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef);
+            ok(peer, &mut x, m, n, rho, &mut c, Some(&mut ef));
             x
         });
         let quantized = run_on_group(m * n, |peer| {
@@ -1283,16 +618,20 @@ mod tests {
             let mut q = Qsgd::new(127, 77);
             let mut scratch = CommScratch::new();
             let mut x = vec_for(peer.rank(), d);
-            let rep = ok_sparse_all_reduce_ef_quantized(
+            let mut route = Route {
+                inter: Inter::SplitMerge,
+                codec: Some(&mut q),
+                ..Route::new(m, n, rho)
+            };
+            let rep = hitopk_all_reduce(
                 peer,
                 &mut x,
-                m,
-                n,
-                rho,
+                &mut route,
+                None,
                 &mut c,
-                &mut q,
-                &mut ef,
+                Some(&mut ef),
                 &mut scratch,
+                None,
             );
             (x, rep)
         });
@@ -1318,7 +657,7 @@ mod tests {
             let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, &mut c, &mut ef)
+            ok(peer, &mut x, m, n, rho, &mut c, Some(&mut ef))
         });
         assert!(qrep.inter_bytes_sent <= exact_rep[0].inter_bytes_sent);
     }
@@ -1356,11 +695,33 @@ mod tests {
             let mut scratch = CommScratch::new();
             let mut c = SortTopK;
             let mut x = vec_for(peer.rank(), d);
-            ok_sparse_all_reduce_scratch(peer, &mut x, m, n, rho, &mut c, &mut scratch);
+            call(
+                peer,
+                &mut x,
+                Inter::SplitMerge,
+                m,
+                n,
+                rho,
+                &mut c,
+                None,
+                None,
+                &mut scratch,
+            );
             let warm = scratch.misses();
             for round in 1..4 {
                 let mut y = vec_for(50 * round + peer.rank(), d);
-                ok_sparse_all_reduce_scratch(peer, &mut y, m, n, rho, &mut c, &mut scratch);
+                call(
+                    peer,
+                    &mut y,
+                    Inter::SplitMerge,
+                    m,
+                    n,
+                    rho,
+                    &mut c,
+                    None,
+                    None,
+                    &mut scratch,
+                );
             }
             (warm, scratch.misses())
         });
@@ -1379,13 +740,13 @@ mod tests {
         let hitopk = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
             let mut c = SortTopK;
-            hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
+            hi(peer, &mut x, m, n, rho, &mut c, None);
             x
         });
         let oksparse = run_on_group(m * n, |peer| {
             let mut x = vec_for(peer.rank(), d);
             let mut c = SortTopK;
-            ok_sparse_all_reduce(peer, &mut x, m, n, rho, &mut c);
+            ok(peer, &mut x, m, n, rho, &mut c, None);
             x
         });
         assert_eq!(hitopk, oksparse);
@@ -1405,49 +766,7 @@ mod tests {
     /// EF twin scratch/traced equivalence, mirroring the hitopk suite.
     #[test]
     fn ef_traced_twin_is_bitwise_identical() {
-        let (m, n, d, rho) = (2usize, 2usize, 64usize, 0.1f64);
-        let run = |trace: bool| {
-            run_on_group(m * n, move |peer| {
-                let mut ef = ErrorFeedback::new(shard_len(d, n, peer.rank()));
-                let mut c = SortTopK;
-                let mut scratch = CommScratch::new();
-                let mut reg = Registry::new();
-                let mut out = Vec::new();
-                for round in 0..3 {
-                    let mut x = vec_for(100 * round + peer.rank(), d);
-                    if trace {
-                        ok_sparse_all_reduce_ef_traced(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                            &mut reg,
-                        );
-                    } else {
-                        ok_sparse_all_reduce_ef_scratch(
-                            peer,
-                            &mut x,
-                            m,
-                            n,
-                            rho,
-                            &mut c,
-                            &mut ef,
-                            &mut scratch,
-                        );
-                    }
-                    out.push(x);
-                }
-                if trace {
-                    assert_eq!(reg.counter("oksparse/invocations"), 3);
-                    assert_eq!(reg.spans().len(), 12);
-                }
-                (out, ef.residual_norm())
-            })
-        };
-        assert_eq!(run(false), run(true));
+        check_row("oksparse_ef: traced vs plain");
+        check_row("oksparse_ef: scratch vs plain");
     }
 }

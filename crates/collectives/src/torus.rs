@@ -11,12 +11,16 @@
 //! 3. intra-node ring AllGather (n GPUs, NVLink).
 //!
 //! Only phase 2 crosses the slow links, and it moves `d/n` elements per
-//! GPU instead of `d`.
+//! GPU instead of `d`. The inter-node rings may visit the nodes in a
+//! topology-probed order (see [`crate::reorder`]); the identity order is
+//! bitwise the natural schedule.
 
 use cloudtrain_tensor::partition::shard_for;
 
-use crate::group::Peer;
-use crate::ring::{ring_all_gather, ring_all_reduce, ring_reduce_scatter};
+use crate::group::Link;
+use crate::reorder::assert_valid_order;
+use crate::ring::{ring_all_gather_scratch, ring_all_reduce_scratch, ring_reduce_scatter_scratch};
+use crate::scratch::CommScratch;
 
 /// Grid coordinates of a rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,26 +54,67 @@ pub fn inter_node_members(j: usize, m: usize, n: usize) -> Vec<usize> {
     (0..m).map(|i| i * n + j).collect()
 }
 
+/// Ranks of GPU `j` across the nodes visited in `node_order` — the
+/// natural [`inter_node_members`] when `None`.
+///
+/// # Panics
+/// Panics unless `node_order` is a permutation of `0..m`.
+pub(crate) fn inter_members(
+    j: usize,
+    m: usize,
+    n: usize,
+    node_order: Option<&[usize]>,
+) -> Vec<usize> {
+    match node_order {
+        Some(order) => {
+            assert_valid_order(order, m);
+            order.iter().map(|&i| i * n + j).collect()
+        }
+        None => inter_node_members(j, m, n),
+    }
+}
+
 /// 2D-Torus AllReduce over the full `m × n` group: on return every rank's
 /// `x` holds the element-wise sum over all `m * n` ranks.
 ///
 /// # Panics
 /// Panics if the group size is not `m * n`.
-pub fn torus_all_reduce(peer: &Peer, x: &mut [f32], m: usize, n: usize) {
-    assert_eq!(peer.size(), m * n, "torus_all_reduce: group is not m*n");
-    let pos = grid_pos(peer.rank(), m, n);
+pub fn torus_all_reduce<L: Link + ?Sized>(link: &L, x: &mut [f32], m: usize, n: usize) {
+    torus_all_reduce_scratch(link, x, m, n, None, &mut CommScratch::new());
+}
+
+/// [`torus_all_reduce`] with the inter-node rings visiting nodes in
+/// `node_order` (natural order when `None`) and every hop buffer drawn
+/// from `scratch`. Only the phase-2 ring order changes, so the identity
+/// order is bitwise the natural schedule; over a fault-charging link the
+/// sum stays exact (dense traffic is never degraded, only retried).
+///
+/// # Panics
+/// Panics if the group size is not `m * n` or `node_order` is not a
+/// permutation of `0..m`.
+pub fn torus_all_reduce_scratch<L: Link + ?Sized>(
+    link: &L,
+    x: &mut [f32],
+    m: usize,
+    n: usize,
+    node_order: Option<&[usize]>,
+    scratch: &mut CommScratch,
+) {
+    assert_eq!(link.size(), m * n, "torus_all_reduce: group is not m*n");
+    link.begin_instance();
+    let pos = grid_pos(link.rank(), m, n);
     let intra = intra_node_members(pos.node, n);
-    let inter = inter_node_members(pos.gpu, m, n);
+    let inter = inter_members(pos.gpu, m, n, node_order);
 
     // Phase 1: intra-node ReduceScatter. This GPU ends owning shard `gpu`.
-    let shard = ring_reduce_scatter(peer, x, &intra);
+    let shard = ring_reduce_scatter_scratch(link, x, &intra, scratch);
     debug_assert_eq!(shard, shard_for(x.len(), n, pos.gpu));
 
     // Phase 2: inter-node AllReduce of the owned shard (stream `gpu`).
-    ring_all_reduce(peer, shard.slice_mut(x), &inter);
+    ring_all_reduce_scratch(link, shard.slice_mut(x), &inter, scratch);
 
     // Phase 3: intra-node AllGather reassembles the full vector.
-    ring_all_gather(peer, x, &intra);
+    ring_all_gather_scratch(link, x, &intra, scratch);
 }
 
 #[cfg(test)]

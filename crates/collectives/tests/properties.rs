@@ -4,10 +4,11 @@
 
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::{gtopk_all_reduce, merge_sparse, trim_topk};
-use cloudtrain_collectives::hierarchical::{hitopk_all_reduce, shard_k};
+use cloudtrain_collectives::hierarchical::{hitopk_all_reduce, shard_k, Route};
 use cloudtrain_collectives::ring::ring_all_reduce;
 use cloudtrain_collectives::torus::torus_all_reduce;
 use cloudtrain_collectives::tree::tree_all_reduce;
+use cloudtrain_collectives::CommScratch;
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::SparseGrad;
 use cloudtrain_tensor::{init, ops};
@@ -87,7 +88,9 @@ proptest! {
             run_on_group(p, move |peer| {
                 let mut x = data[peer.rank()].clone();
                 let mut c = SortTopK;
-                let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
+                let mut route = Route::new(m, n, rho);
+                let scratch = &mut CommScratch::new();
+                let rep = hitopk_all_reduce(peer, &mut x, &mut route, None, &mut c, None, scratch, None);
                 (x, rep)
             })
         };
@@ -143,7 +146,7 @@ proptest! {
         let results = run_on_group(p, move |peer| {
             let mut x = data[peer.rank()].clone();
             let mut c = SortTopK;
-            gtopk_all_reduce(peer, &mut x, k, &mut c);
+            gtopk_all_reduce(peer, &mut x, k, &mut c, None, &mut CommScratch::new());
             x
         });
         for x in &results {
@@ -168,7 +171,10 @@ fn regression_hitopk_invariants_shrunk_case() {
         run_on_group(p, move |peer| {
             let mut x = data[peer.rank()].clone();
             let mut c = SortTopK;
-            let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
+            let mut route = Route::new(m, n, rho);
+            let scratch = &mut CommScratch::new();
+            let rep =
+                hitopk_all_reduce(peer, &mut x, &mut route, None, &mut c, None, scratch, None);
             (x, rep)
         })
     };

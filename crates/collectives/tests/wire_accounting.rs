@@ -1,22 +1,19 @@
-//! Differential wire-byte accounting across the HiTopKComm variant family.
+//! Differential wire-byte accounting across the HiTopKComm parameter grid.
 //!
-//! Every hitopk twin — staged, fused, traced, reordered, resilient, and
-//! deadline-bounded — moves exactly the same inter-node traffic when the
-//! faults are clean and the node order is the identity. Since PR 8 they all
-//! charge that traffic through one shared helper
+//! Every parameter combination of the all-gather pipeline — staged, fused,
+//! traced, identity-ordered, over a clean retry-ladder link, over a clean
+//! deadline link — moves exactly the same inter-node traffic, and all of
+//! them charge it through one shared helper
 //! (`group_wire_bytes(selection, g) == pair_wire_bytes(k) * (g - 1)`), so
-//! a divergence here means a variant grew its own byte math again.
+//! a divergence here means a combination grew its own byte math again.
 
-use cloudtrain_collectives::deadline::hitopk_all_reduce_ef_deadline;
-use cloudtrain_collectives::fusion::hitopk_all_reduce_ef_fused_scratch;
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::hierarchical::{
-    hitopk_all_reduce_ef_scratch, hitopk_all_reduce_ef_traced, pair_wire_bytes, HiTopKReport,
+    hitopk_all_reduce, pair_wire_bytes, HiTopKReport, Intra, Route,
 };
-use cloudtrain_collectives::reorder::hitopk_all_reduce_ef_reordered;
-use cloudtrain_collectives::resilience::hitopk_all_reduce_ef_resilient;
 use cloudtrain_collectives::{
-    CommFaults, CommScratch, DeadlineFaults, DeadlinePolicy, ResiliencePolicy, ResilientPeer,
+    CommFaults, CommScratch, DeadlineFaults, DeadlinePeer, DeadlinePolicy, Link, ResiliencePolicy,
+    ResilientPeer,
 };
 use cloudtrain_compress::exact::SortTopK;
 use cloudtrain_compress::ErrorFeedback;
@@ -37,66 +34,112 @@ fn shard_len(rank: usize) -> usize {
     partition::shards(D, N)[rank % N].len()
 }
 
-/// Runs one EF round of a hitopk variant on the standard payloads and
-/// returns each rank's report.
-type Variant = dyn Fn(
-        &cloudtrain_collectives::Peer,
-        &mut [f32],
-        &mut SortTopK,
-        &mut ErrorFeedback,
-        &mut CommScratch,
-    ) -> HiTopKReport
-    + Sync;
+/// The transport a row runs over.
+#[derive(Clone, Copy)]
+enum Via {
+    Plain,
+    CleanResilient,
+    CleanDeadline,
+}
 
-fn reports_of(f: &Variant) -> Vec<HiTopKReport> {
+/// One row of the grid: the transport, step-1 routing, node order and
+/// tracing of an EF round on the standard payloads.
+struct Row {
+    name: &'static str,
+    via: Via,
+    intra: Intra,
+    identity_order: bool,
+    traced: bool,
+}
+
+const ROWS: &[Row] = &[
+    Row {
+        name: "staged",
+        via: Via::Plain,
+        intra: Intra::Staged,
+        identity_order: false,
+        traced: false,
+    },
+    Row {
+        name: "fused",
+        via: Via::Plain,
+        intra: Intra::Fused,
+        identity_order: false,
+        traced: false,
+    },
+    Row {
+        name: "traced",
+        via: Via::Plain,
+        intra: Intra::Staged,
+        identity_order: false,
+        traced: true,
+    },
+    Row {
+        name: "identity order",
+        via: Via::Plain,
+        intra: Intra::Staged,
+        identity_order: true,
+        traced: false,
+    },
+    Row {
+        name: "clean resilient",
+        via: Via::CleanResilient,
+        intra: Intra::Staged,
+        identity_order: false,
+        traced: false,
+    },
+    Row {
+        name: "clean deadline",
+        via: Via::CleanDeadline,
+        intra: Intra::Staged,
+        identity_order: false,
+        traced: false,
+    },
+];
+
+/// Runs one EF round of `row` on the standard payloads and returns each
+/// rank's report.
+fn reports_of(row: &Row) -> Vec<HiTopKReport> {
     run_on_group(M * N, move |peer| {
+        let resilient = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
+        let policy = DeadlinePolicy::from_link(5e-5, 4e-10, 1 << 20, 1.5);
+        let deadline = DeadlinePeer::new(peer, DeadlineFaults::new(7), policy);
+        let link: &dyn Link = match row.via {
+            Via::Plain => peer,
+            Via::CleanResilient => &resilient,
+            Via::CleanDeadline => &deadline,
+        };
         let mut x = vec_for(peer.rank(), D);
-        let mut c = SortTopK;
         let mut ef = ErrorFeedback::new(shard_len(peer.rank()));
         let mut scratch = CommScratch::new();
-        f(peer, &mut x, &mut c, &mut ef, &mut scratch)
+        let mut reg = Registry::new();
+        let identity: Vec<usize> = (0..M).collect();
+        let mut route = Route {
+            intra: row.intra,
+            ..Route::new(M, N, RHO)
+        };
+        hitopk_all_reduce(
+            link,
+            &mut x,
+            &mut route,
+            row.identity_order.then_some(identity.as_slice()),
+            &mut SortTopK,
+            Some(&mut ef),
+            &mut scratch,
+            row.traced.then_some(&mut reg),
+        )
     })
 }
 
 #[test]
 fn all_hitopk_variants_report_identical_wire_bytes_for_identical_traffic() {
-    let staged = reports_of(&|peer, x, c, ef, scratch| {
-        hitopk_all_reduce_ef_scratch(peer, x, M, N, RHO, c, ef, scratch)
-    });
-    let fused = reports_of(&|peer, x, c, ef, scratch| {
-        hitopk_all_reduce_ef_fused_scratch(peer, x, M, N, RHO, c, ef, scratch)
-    });
-    let traced = reports_of(&|peer, x, c, ef, scratch| {
-        let mut reg = Registry::new();
-        hitopk_all_reduce_ef_traced(peer, x, M, N, RHO, c, ef, scratch, &mut reg)
-    });
-    let reordered = reports_of(&|peer, x, c, ef, scratch| {
-        let order: Vec<usize> = (0..M).collect();
-        hitopk_all_reduce_ef_reordered(peer, x, M, N, RHO, c, ef, &order, scratch)
-    });
-    let resilient = reports_of(&|peer, x, c, ef, scratch| {
-        let mut rp = ResilientPeer::new(peer, CommFaults::new(7), ResiliencePolicy::default());
-        hitopk_all_reduce_ef_resilient(&mut rp, x, M, N, RHO, c, ef, scratch)
-    });
-    let deadline = reports_of(&|peer, x, c, ef, scratch| {
-        let faults = DeadlineFaults::new(7);
-        let policy = DeadlinePolicy::from_link(5e-5, 4e-10, 1 << 20, 1.5);
-        let (rep, drep) =
-            hitopk_all_reduce_ef_deadline(peer, x, M, N, RHO, c, ef, 0, &faults, &policy, scratch);
-        assert_eq!(drep.missed, 0, "clean deadline run must not miss");
-        rep
-    });
-
-    for (name, variant) in [
-        ("fused", &fused),
-        ("traced", &traced),
-        ("reordered", &reordered),
-        ("resilient", &resilient),
-        ("deadline", &deadline),
-    ] {
+    let staged = reports_of(&ROWS[0]);
+    for row in &ROWS[1..] {
         assert_eq!(
-            variant, &staged,
-            "{name} variant disagrees with the staged report"
+            reports_of(row),
+            staged,
+            "{} row disagrees with the staged report",
+            row.name
         );
     }
 

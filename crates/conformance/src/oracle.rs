@@ -22,33 +22,21 @@
 
 use std::collections::BTreeSet;
 
-use cloudtrain_collectives::deadline::{
-    hitopk_all_reduce_ef_deadline, ring_all_reduce_deadline, DeadlineFaults, DeadlinePolicy,
-};
-use cloudtrain_collectives::fusion::{
-    hitopk_all_reduce_ef_fused, hitopk_all_reduce_ef_fused_resilient, hitopk_all_reduce_fused,
-};
+use cloudtrain_collectives::deadline::ring_all_reduce_deadline;
 use cloudtrain_collectives::group::run_on_group;
 use cloudtrain_collectives::gtopk::gtopk_all_reduce;
 use cloudtrain_collectives::hierarchical::{
-    hitopk_all_reduce, hitopk_all_reduce_ef, shard_k, sparse_all_reduce_naive,
+    hitopk_all_reduce, shard_k, sparse_all_reduce_naive, HiTopKReport, Inter, Intra, Route,
 };
 use cloudtrain_collectives::quantized::quantized_all_reduce;
-use cloudtrain_collectives::reorder::{
-    hitopk_all_reduce_ef_reordered, ring_all_reduce_reordered, torus_all_reduce_reordered,
-};
-use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, ring_all_reduce_resilient,
-    torus_all_reduce_resilient,
-};
 use cloudtrain_collectives::rhd::rhd_all_reduce;
-use cloudtrain_collectives::ring::ring_all_reduce;
-use cloudtrain_collectives::sparse_allreduce::{
-    ok_sparse_all_reduce, ok_sparse_all_reduce_ef, ok_sparse_all_reduce_ef_resilient,
-};
-use cloudtrain_collectives::torus::torus_all_reduce;
+use cloudtrain_collectives::ring::{ring_all_reduce, ring_all_reduce_scratch};
+use cloudtrain_collectives::torus::{torus_all_reduce, torus_all_reduce_scratch};
 use cloudtrain_collectives::tree::tree_all_reduce;
-use cloudtrain_collectives::{CommFaults, CommScratch, ResiliencePolicy, ResilientPeer};
+use cloudtrain_collectives::{
+    CommFaults, CommScratch, DeadlineFaults, DeadlinePeer, DeadlinePolicy, Link, Peer,
+    ResiliencePolicy, ResilientPeer,
+};
 use cloudtrain_compress::dgc::Dgc;
 use cloudtrain_compress::exact::{QuickTopK, SortTopK};
 use cloudtrain_compress::quantize::{Qsgd, Quantizer, ScaledSign, TernGrad};
@@ -165,6 +153,352 @@ fn node_sums(seed: u64, m: usize, n: usize, d: usize) -> Vec<Vec<f32>> {
             acc
         })
         .collect()
+}
+
+/// The transport a combination runs over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transport {
+    /// A plain peer.
+    Plain,
+    /// A `ResilientPeer` under the case's drop / degrade plan.
+    Resilient,
+    /// A `DeadlinePeer` under the case's lateness jitter.
+    Deadline,
+}
+
+/// One parameter combination of a collective entry point, as the oracle
+/// runs it. The matrix tag is *derived* from the fields — `base` (or
+/// `oksparse` for the split-merge exchange), then `_ef`, `_fused`,
+/// `_res` / `_deadline`, `_reordered` — and `coverage_conformance`
+/// re-derives every tag of [`COMBOS`] from source, so a registration whose
+/// name drifts from what it runs turns the lint red.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Combo {
+    /// Entry point: `ring`, `torus`, `hitopk` or `gtopk`.
+    pub base: &'static str,
+    /// Split-merge (O(k)) step 3 instead of the all-gather.
+    pub split_merge: bool,
+    /// Error feedback around the selection.
+    pub ef: bool,
+    /// Fused compress–reduce step 1.
+    pub fused: bool,
+    /// Transport.
+    pub link: Transport,
+    /// Inter-node ring visits nodes in a non-identity order.
+    pub reordered: bool,
+}
+
+/// `Combo` with every parameter at its default (plain transport, natural
+/// order, staged all-gather, no error feedback).
+const fn plain(base: &'static str) -> Combo {
+    Combo {
+        base,
+        split_merge: false,
+        ef: false,
+        fused: false,
+        link: Transport::Plain,
+        reordered: false,
+    }
+}
+
+/// Every parameterized matrix tag and the combination it runs.
+pub const COMBOS: &[(&str, Combo)] = &[
+    (
+        "ring_res",
+        Combo {
+            link: Transport::Resilient,
+            ..plain("ring")
+        },
+    ),
+    (
+        "torus_res",
+        Combo {
+            link: Transport::Resilient,
+            ..plain("torus")
+        },
+    ),
+    (
+        "ring_reordered",
+        Combo {
+            reordered: true,
+            ..plain("ring")
+        },
+    ),
+    (
+        "torus_reordered",
+        Combo {
+            reordered: true,
+            ..plain("torus")
+        },
+    ),
+    ("hitopk", plain("hitopk")),
+    (
+        "hitopk_fused",
+        Combo {
+            fused: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef",
+        Combo {
+            ef: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef_fused",
+        Combo {
+            ef: true,
+            fused: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef_res",
+        Combo {
+            ef: true,
+            link: Transport::Resilient,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef_fused_res",
+        Combo {
+            ef: true,
+            fused: true,
+            link: Transport::Resilient,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef_reordered",
+        Combo {
+            ef: true,
+            reordered: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "hitopk_ef_deadline",
+        Combo {
+            ef: true,
+            link: Transport::Deadline,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "gtopk_ef_res",
+        Combo {
+            ef: true,
+            link: Transport::Resilient,
+            ..plain("gtopk")
+        },
+    ),
+    (
+        "oksparse",
+        Combo {
+            split_merge: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "oksparse_ef",
+        Combo {
+            split_merge: true,
+            ef: true,
+            ..plain("hitopk")
+        },
+    ),
+    (
+        "oksparse_ef_res",
+        Combo {
+            split_merge: true,
+            ef: true,
+            link: Transport::Resilient,
+            ..plain("hitopk")
+        },
+    ),
+];
+
+/// The combination registered under `tag`.
+fn combo(tag: &str) -> Combo {
+    COMBOS
+        .iter()
+        .find(|(t, _)| *t == tag)
+        .map(|(_, c)| *c)
+        // lint:allow(panic_free, reason = "oracle::run only dispatches registered tags; a miss is a registration bug the coverage lint also flags")
+        .unwrap_or_else(|| panic!("no combination registered for `{tag}`"))
+}
+
+impl Combo {
+    /// The same combination with another transport.
+    fn via(self, link: Transport) -> Self {
+        Self { link, ..self }
+    }
+}
+
+/// The node order a combination visits: reversed past node 0 when
+/// `reordered`, natural otherwise.
+fn order_of(combo: &Combo, nodes: usize) -> Option<Vec<usize>> {
+    combo.reordered.then(|| reversed_order(nodes))
+}
+
+/// Runs `f` over the link `combo` names for this case: the plain peer, a
+/// resilient peer under the case's drop / degrade plan, or a deadline peer
+/// with the case's lateness jitter and a budget sized for one compressed
+/// block.
+fn with_link<T>(
+    c: &OracleCase,
+    combo: &Combo,
+    peer: &Peer,
+    f: impl FnOnce(&dyn Link) -> T,
+) -> (T, u64) {
+    match combo.link {
+        Transport::Plain => (f(peer), 0),
+        Transport::Resilient => {
+            let faults = CommFaults::new(c.seed)
+                .with_drops(c.drops)
+                .with_degrade(c.degrade);
+            let rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
+            let out = f(&rp);
+            (out, rp.report().degraded_members)
+        }
+        Transport::Deadline => {
+            let faults = DeadlineFaults::new(c.seed).with_jitter(c.degrade * DEADLINE_JITTER_SCALE);
+            let policy = DeadlinePolicy::from_link(
+                DEADLINE_ALPHA,
+                DEADLINE_BETA,
+                8 * shard_k(c.d, c.n, c.rho),
+                DEADLINE_MULT,
+            );
+            let dp = DeadlinePeer::new(peer, faults, policy);
+            let out = f(&dp);
+            (out, dp.report().missed)
+        }
+    }
+}
+
+/// One rank's result of a dense combination.
+fn exec_dense(c: &OracleCase, combo: &Combo, order: Option<&[usize]>) -> Vec<Vec<f32>> {
+    let p = c.m * c.n;
+    run_on_group(p, |peer| {
+        with_link(c, combo, peer, |link| {
+            let mut x = grad_for(c.seed, peer.rank(), c.d);
+            let mut scratch = CommScratch::new();
+            if combo.base == "ring" {
+                // A flat ring is reordered by permuting its member list.
+                let members: Vec<usize> = match order {
+                    Some(o) => o.to_vec(),
+                    None => (0..p).collect(),
+                };
+                ring_all_reduce_scratch(link, &mut x, &members, &mut scratch);
+            } else {
+                torus_all_reduce_scratch(link, &mut x, c.m, c.n, order, &mut scratch);
+            }
+            x
+        })
+        .0
+    })
+}
+
+/// One rank's result of a sparse-pipeline combination: the output (the
+/// aggregate of a single iteration, or the sum over `iters` iterations),
+/// the final residual, the last report, and contributions the link missed.
+#[derive(Debug, Clone, PartialEq)]
+struct SparseRun {
+    out: Vec<f32>,
+    residual: Vec<f32>,
+    rep: HiTopKReport,
+    missed: u64,
+}
+
+/// Runs `combo` through the HiTopKComm pipeline on every rank: one
+/// iteration on `grad_for` inputs, or `iters` iterations on `grad_iter`
+/// inputs accumulated from zero.
+fn exec_sparse(
+    c: &OracleCase,
+    combo: &Combo,
+    iters: usize,
+    order: Option<&[usize]>,
+) -> Vec<SparseRun> {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    run_on_group(m * n, |peer| {
+        let (run, missed) = with_link(c, combo, peer, |link| {
+            let mut ef = ErrorFeedback::new(shards(d, n)[peer.rank() % n].len());
+            let mut comp = make_compressor(&c.comp, comp_seed(seed, peer.rank()));
+            let mut scratch = CommScratch::new();
+            let mut route = Route {
+                intra: if combo.fused {
+                    Intra::Fused
+                } else {
+                    Intra::Staged
+                },
+                inter: if combo.split_merge {
+                    Inter::SplitMerge
+                } else {
+                    Inter::AllGather
+                },
+                ..Route::new(m, n, c.rho)
+            };
+            let mut step = |x: &mut Vec<f32>| {
+                let ef = combo.ef.then_some(&mut ef);
+                hitopk_all_reduce(
+                    link,
+                    x,
+                    &mut route,
+                    order,
+                    comp.as_mut(),
+                    ef,
+                    &mut scratch,
+                    None,
+                )
+            };
+            let (out, rep) = if iters == 1 {
+                let mut x = grad_for(seed, peer.rank(), d);
+                let rep = step(&mut x);
+                (x, rep)
+            } else {
+                let mut acc = vec![0.0f32; d];
+                let mut rep = None;
+                for t in 0..iters {
+                    let mut x = grad_iter(seed, t, peer.rank(), d);
+                    rep = Some(step(&mut x));
+                    ops::add_assign(&mut acc, &x);
+                }
+                // lint:allow(panic_free, reason = "iters >= 2 on this branch, so the loop ran")
+                (acc, rep.expect("at least one iteration"))
+            };
+            let residual = if combo.ef {
+                ef.residual().to_vec()
+            } else {
+                Vec::new()
+            };
+            (out, residual, rep)
+        });
+        let (out, residual, rep) = run;
+        SparseRun {
+            out,
+            residual,
+            rep,
+            missed,
+        }
+    })
+}
+
+fn outs(runs: &[SparseRun]) -> Vec<Vec<f32>> {
+    runs.iter().map(|r| r.out.clone()).collect()
+}
+
+fn residuals(runs: &[SparseRun]) -> Vec<Vec<f32>> {
+    runs.iter().map(|r| r.residual.clone()).collect()
+}
+
+/// Output and residual agree bit for bit on every rank.
+fn runs_bits_eq(a: &[SparseRun], b: &[SparseRun]) -> bool {
+    a.iter()
+        .zip(b)
+        .all(|(x, y)| bits_eq(&x.out, &y.out) && bits_eq(&x.residual, &y.residual))
 }
 
 /// Runs one oracle case.
@@ -324,22 +658,9 @@ fn run_dense_bucketed(c: &OracleCase, ck: &mut Checks) {
 
 fn run_dense_resilient(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
-    let (m, n, d, seed, drops) = (c.m, c.n, c.d, c.seed, c.drops);
-    let name = c.collective.clone();
-    let faulted = || {
-        run_on_group(p, |peer| {
-            let faults = CommFaults::new(seed).with_drops(drops);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            let members: Vec<usize> = (0..p).collect();
-            match name.as_str() {
-                "ring_res" => ring_all_reduce_resilient(&mut rp, &mut x, &members, &mut scratch),
-                _ => torus_all_reduce_resilient(&mut rp, &mut x, m, n, &mut scratch),
-            }
-            x
-        })
-    };
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let faulted = || exec_dense(c, &combo, None);
     let a = faulted();
     let b = faulted();
     ck.check("determinism", a == b, || {
@@ -353,7 +674,7 @@ fn run_dense_resilient(c: &OracleCase, ck: &mut Checks) {
     let clean = run_on_group(p, |peer| {
         let mut x = grad_for(seed, peer.rank(), d);
         let members: Vec<usize> = (0..p).collect();
-        if name == "ring_res" {
+        if combo.base == "ring" {
             ring_all_reduce(peer, &mut x, &members);
         } else {
             torus_all_reduce(peer, &mut x, m, n);
@@ -377,22 +698,13 @@ fn reversed_order(m: usize) -> Vec<usize> {
 fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
-    let name = c.collective.clone();
+    let combo = combo(&c.collective);
     // `ring_reordered` permutes member positions of the flat p-ring;
     // `torus_reordered` permutes the m-node inter ring.
-    let order = reversed_order(if name == "ring_reordered" { p } else { m });
-    let run = |ord: &[usize]| {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            let members: Vec<usize> = (0..p).collect();
-            if name == "ring_reordered" {
-                ring_all_reduce_reordered(peer, &mut x, &members, ord);
-            } else {
-                torus_all_reduce_reordered(peer, &mut x, m, n, ord);
-            }
-            x
-        })
-    };
+    let nodes = if combo.base == "ring" { p } else { m };
+    // lint:allow(panic_free, reason = "every registered *_reordered combination sets `reordered`")
+    let order = order_of(&combo, nodes).expect("reordered combination");
+    let run = |ord: &[usize]| exec_dense(c, &combo, Some(ord));
     let a = run(&order);
     let b = run(&order);
     ck.check("determinism", a == b, || {
@@ -407,7 +719,7 @@ fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
         ops::approx_eq(&a[0], &reference, DENSE_TOL),
         || format!("linf={} tol={DENSE_TOL}", linf(&a[0], &reference)),
     );
-    // Under the identity order the reordered twin must reproduce the
+    // Under the identity order the reordered run must reproduce the
     // natural collective bitwise — the contract that makes reordering safe
     // to route behind a config flag.
     let identity: Vec<usize> = (0..order.len()).collect();
@@ -415,7 +727,7 @@ fn run_dense_reordered(c: &OracleCase, ck: &mut Checks) {
     let plain = run_on_group(p, |peer| {
         let mut x = grad_for(seed, peer.rank(), d);
         let members: Vec<usize> = (0..p).collect();
-        if name == "ring_reordered" {
+        if combo.base == "ring" {
             ring_all_reduce(peer, &mut x, &members);
         } else {
             torus_all_reduce(peer, &mut x, m, n);
@@ -519,23 +831,15 @@ fn hitopk_oracle(c: &OracleCase) -> Vec<f32> {
 }
 
 fn run_hitopk(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = || {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, comp.as_mut());
-            (x, rep)
-        })
-    };
+    let (m, n, d, rho) = (c.m, c.n, c.d, c.rho);
+    let combo = combo(&c.collective);
+    let run = || exec_sparse(c, &combo, 1, None);
     let a = run();
     let b = run();
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    ck.check("determinism", a == b, || {
         "second run differs from the first".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
@@ -546,7 +850,8 @@ fn run_hitopk(c: &OracleCase, ck: &mut Checks) {
         || format!("linf={} tol={SPARSE_TOL}", linf(&xs[0], &reference)),
     );
     let k_full = shard_k(d, n, rho);
-    for (r, (_, rep)) in a.iter().enumerate() {
+    for (r, run) in a.iter().enumerate() {
+        let rep = &run.rep;
         let ok = rep.k_per_shard >= 1
             && rep.k_per_shard <= k_full
             && rep.shard_nonzeros <= m * rep.k_per_shard
@@ -572,27 +877,14 @@ fn run_hitopk(c: &OracleCase, ck: &mut Checks) {
 /// against the staged collective under identical seeds (and, for the
 /// resilient variant, an identical fault schedule).
 fn run_hitopk_fused(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = |fused: bool| {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let rep = if fused {
-                hitopk_all_reduce_fused(peer, &mut x, m, n, rho, comp.as_mut())
-            } else {
-                hitopk_all_reduce(peer, &mut x, m, n, rho, comp.as_mut())
-            };
-            (x, rep)
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, 1, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second fused run differs from the first".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
@@ -602,12 +894,15 @@ fn run_hitopk_fused(c: &OracleCase, ck: &mut Checks) {
         ops::approx_eq(&xs[0], &reference, SPARSE_TOL),
         || format!("linf={} tol={SPARSE_TOL}", linf(&xs[0], &reference)),
     );
-    let unfused = run(false);
+    let unfused = run(&Combo {
+        fused: false,
+        ..combo
+    });
     ck.check(
         "fused-unfused-bitwise",
         a.iter()
             .zip(&unfused)
-            .all(|((x, rep), (ux, urep))| bits_eq(x, ux) && rep == urep),
+            .all(|(x, u)| bits_eq(&x.out, &u.out) && x.rep == u.rep),
         || "fused hop differs from the staged pipeline bitwise".to_string(),
     );
 }
@@ -658,159 +953,71 @@ fn check_ledger(
 }
 
 fn run_hitopk_ef(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = || {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = || exec_sparse(c, &combo, EF_ITERS, None);
     let a = run();
     let b = run();
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    ck.check("determinism", a == b, || {
         "second run differs from the first".to_string()
     });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let accs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&accs), || {
         "ranks hold different accumulated results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
     // The per-iteration gradients use the iteration-salted seed, so pass the
     // base seed and let the ledger re-derive each iteration.
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals(&a));
 }
 
 fn run_hitopk_ef_reordered(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let order = reversed_order(m);
-    let run = |ord: &[usize]| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut scratch = CommScratch::new();
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                hitopk_all_reduce_ef_reordered(
-                    peer,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    ord,
-                    &mut scratch,
-                );
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    // lint:allow(panic_free, reason = "every registered *_reordered combination sets `reordered`")
+    let order = order_of(&combo, m).expect("reordered combination");
+    let run = |ord: &[usize]| exec_sparse(c, &combo, EF_ITERS, Some(ord));
     let a = run(&order);
     let b = run(&order);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    ck.check("determinism", a == b, || {
         "second reordered run differs from the first".to_string()
     });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let accs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&accs), || {
         "ranks hold different accumulated results".to_string()
     });
     // Reordering only permutes the sparse AllGather's visit order, so the
-    // mass-conservation ledger must hold exactly as for the natural twin.
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
+    // mass-conservation ledger must hold exactly as for the natural order.
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals(&a));
     // Identity order must reproduce the natural EF pipeline bitwise —
     // accumulated output and final residuals both.
     let identity: Vec<usize> = (0..m).collect();
     let id = run(&identity);
-    let plain = run_on_group(p, |peer| {
-        let shard_len = shards(d, n)[peer.rank() % n].len();
-        let mut ef = ErrorFeedback::new(shard_len);
-        let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-        let mut acc = vec![0.0f32; d];
-        for t in 0..EF_ITERS {
-            let mut x = grad_iter(seed, t, peer.rank(), d);
-            hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            ops::add_assign(&mut acc, &x);
-        }
-        (acc, ef.residual().to_vec())
-    });
-    ck.check(
-        "identity-order-bitwise",
-        id.iter()
-            .zip(&plain)
-            .all(|((acc, r), (uacc, ur))| bits_eq(acc, uacc) && bits_eq(r, ur)),
-        || "identity-order reordered EF run differs from the natural twin bitwise".to_string(),
+    let plain = exec_sparse(
+        c,
+        &Combo {
+            reordered: false,
+            ..combo
+        },
+        EF_ITERS,
+        None,
     );
+    ck.check("identity-order-bitwise", runs_bits_eq(&id, &plain), || {
+        "identity-order reordered EF run differs from the natural twin bitwise".to_string()
+    });
 }
 
 fn run_hitopk_ef_deadline(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
     let degrade = c.degrade;
-    let comp_name = c.comp.clone();
     let jitter = degrade * DEADLINE_JITTER_SCALE;
-    // Budget sized for one compressed block: k values + k indices.
-    let policy = DeadlinePolicy::from_link(
-        DEADLINE_ALPHA,
-        DEADLINE_BETA,
-        8 * shard_k(d, n, rho),
-        DEADLINE_MULT,
-    );
-    let run = |bounded: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut scratch = CommScratch::new();
-            let faults = DeadlineFaults::new(seed).with_jitter(jitter);
-            let mut acc = vec![0.0f32; d];
-            let mut missed = 0u64;
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                if bounded {
-                    let (_, rep) = hitopk_all_reduce_ef_deadline(
-                        peer,
-                        &mut x,
-                        m,
-                        n,
-                        rho,
-                        comp.as_mut(),
-                        &mut ef,
-                        t as u64,
-                        &faults,
-                        &policy,
-                        &mut scratch,
-                    );
-                    missed += rep.missed;
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec(), missed)
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, EF_ITERS, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second deadline run differs from the first".to_string()
     });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _, _)| x.clone()).collect();
+    let accs = outs(&a);
     // The miss decision is per (instance, member), never per hop, so all
     // ranks observe the same contributed blocks.
     ck.check("replica-identity", all_ranks_eq(&accs), || {
@@ -818,19 +1025,15 @@ fn run_hitopk_ef_deadline(c: &OracleCase, ck: &mut Checks) {
     });
     // The ledger holds even with misses: a late member's compensated shard
     // survives whole in its residual — nothing is lost, only delayed.
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r, _)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
-    let missed: u64 = a.iter().map(|(_, _, mi)| *mi).sum();
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals(&a));
+    let missed: u64 = a.iter().map(|r| r.missed).sum();
     if degrade == 0.0 {
-        // A clean plan never misses and must match the plain EF twin
+        // A clean plan never misses and must match the plain EF pipeline
         // bitwise — output and residuals both.
-        let clean = run(false);
+        let clean = run(&combo.via(Transport::Plain));
         ck.check(
             "clean-bitwise",
-            missed == 0
-                && a.iter()
-                    .zip(&clean)
-                    .all(|((acc, r, _), (uacc, ur, _))| bits_eq(acc, uacc) && bits_eq(r, ur)),
+            missed == 0 && runs_bits_eq(&a, &clean),
             || {
                 format!(
                     "clean deadline run missed {missed} contribution(s) or diverged from plain EF"
@@ -845,196 +1048,94 @@ fn run_hitopk_ef_deadline(c: &OracleCase, ck: &mut Checks) {
 }
 
 fn run_hitopk_ef_fused(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = |fused: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                if fused {
-                    hitopk_all_reduce_ef_fused(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, EF_ITERS, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second fused run differs from the first".to_string()
     });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let accs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&accs), || {
         "ranks hold different accumulated results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals(&a));
     // Residual carry-over is part of the contract: both accumulated output
     // and final residuals must match the staged pipeline bitwise.
-    let unfused = run(false);
-    ck.check(
-        "fused-unfused-bitwise",
-        a.iter()
-            .zip(&unfused)
-            .all(|((acc, r), (uacc, ur))| bits_eq(acc, uacc) && bits_eq(r, ur)),
-        || "fused EF hop differs from the staged pipeline bitwise".to_string(),
-    );
+    let unfused = run(&Combo {
+        fused: false,
+        ..combo
+    });
+    ck.check("fused-unfused-bitwise", runs_bits_eq(&a, &unfused), || {
+        "fused EF hop differs from the staged pipeline bitwise".to_string()
+    });
 }
 
 fn run_hitopk_ef_res(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let (drops, degrade) = (c.drops, c.degrade);
-    let comp_name = c.comp.clone();
-    let faulted = || {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let faults = CommFaults::new(seed)
-                .with_drops(drops)
-                .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                comp.as_mut(),
-                &mut ef,
-                &mut scratch,
-            );
-            (x, ef.residual().to_vec())
-        })
-    };
-    let a = faulted();
-    let b = faulted();
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, 1, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second faulted run differs".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals);
-    if degrade == 0.0 {
+    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals(&a));
+    if c.degrade == 0.0 {
         // Pure drop faults: retries must reproduce the clean collective
         // bitwise (same compressor replicas, same residual start).
-        let clean = run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            (x, ef.residual().to_vec())
-        });
+        let clean = run(&combo.via(Transport::Plain));
         ck.check(
             "retry-exactness",
-            bits_eq(&xs[0], &clean[0].0)
-                && residuals
-                    .iter()
+            bits_eq(&xs[0], &clean[0].out)
+                && a.iter()
                     .zip(&clean)
-                    .all(|(r, (_, cr))| bits_eq(r, cr)),
+                    .all(|(r, cr)| bits_eq(&r.residual, &cr.residual)),
             || "faulted EF run differs from clean bitwise".to_string(),
         );
     }
 }
 
 fn run_hitopk_ef_fused_res(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let (drops, degrade) = (c.drops, c.degrade);
-    let comp_name = c.comp.clone();
-    let faulted = |fused: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let faults = CommFaults::new(seed)
-                .with_drops(drops)
-                .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            if fused {
-                hitopk_all_reduce_ef_fused_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    &mut scratch,
-                );
-            } else {
-                hitopk_all_reduce_ef_resilient(
-                    &mut rp,
-                    &mut x,
-                    m,
-                    n,
-                    rho,
-                    comp.as_mut(),
-                    &mut ef,
-                    &mut scratch,
-                );
-            }
-            (x, ef.residual().to_vec())
-        })
-    };
-    let a = faulted(true);
-    let b = faulted(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, 1, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second faulted fused run differs".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals);
-    // The staged resilient collective consumes the identical fault
-    // schedule (faults key on the instance and hop, not on call order), so
-    // even under drops and degradation the fused hop must reproduce it
-    // bitwise — output and residuals both.
-    let unfused = faulted(false);
-    ck.check(
-        "fused-unfused-bitwise",
-        a.iter()
-            .zip(&unfused)
-            .all(|((x, r), (ux, ur))| bits_eq(x, ux) && bits_eq(r, ur)),
-        || "fused resilient hop differs from the staged pipeline bitwise".to_string(),
-    );
-    if degrade == 0.0 {
+    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals(&a));
+    // The staged pipeline consumes the identical fault schedule (faults key
+    // on the instance and hop, not on call order), so even under drops and
+    // degradation the fused hop must reproduce it bitwise — output and
+    // residuals both.
+    let unfused = run(&Combo {
+        fused: false,
+        ..combo
+    });
+    ck.check("fused-unfused-bitwise", runs_bits_eq(&a, &unfused), || {
+        "fused resilient hop differs from the staged pipeline bitwise".to_string()
+    });
+    if c.degrade == 0.0 {
         // Pure drop faults: retries must reproduce the clean fused
         // collective bitwise (same compressor replicas, same residuals).
-        let clean = run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut x = grad_for(seed, peer.rank(), d);
-            hitopk_all_reduce_ef_fused(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            (x, ef.residual().to_vec())
-        });
+        let clean = run(&combo.via(Transport::Plain));
         ck.check(
             "retry-exactness",
-            bits_eq(&xs[0], &clean[0].0)
-                && residuals
-                    .iter()
+            bits_eq(&xs[0], &clean[0].out)
+                && a.iter()
                     .zip(&clean)
-                    .all(|(r, (_, cr))| bits_eq(r, cr)),
+                    .all(|(r, cr)| bits_eq(&r.residual, &cr.residual)),
             || "faulted fused EF run differs from clean bitwise".to_string(),
         );
     }
@@ -1049,7 +1150,8 @@ fn run_gtopk(c: &OracleCase, ck: &mut Checks) {
         run_on_group(p, |peer| {
             let mut x = grad_for(seed, peer.rank(), d);
             let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let sent = gtopk_all_reduce(peer, &mut x, k, comp.as_mut());
+            let mut scratch = CommScratch::new();
+            let sent = gtopk_all_reduce(peer, &mut x, k, comp.as_mut(), None, &mut scratch);
             (x, sent)
         })
     };
@@ -1097,21 +1199,22 @@ fn run_gtopk_ef_res(c: &OracleCase, ck: &mut Checks) {
     let p = c.m * c.n;
     let (d, seed) = (c.d, c.seed);
     let k = global_k(d, c.rho);
-    let (drops, degrade) = (c.drops, c.degrade);
+    let degrade = c.degrade;
     let comp_name = c.comp.clone();
+    let combo = combo(&c.collective);
     let faulted = || {
         run_on_group(p, |peer| {
             let g0 = grad_for(seed, peer.rank(), d);
-            let mut x = g0.clone();
-            let mut ef = ErrorFeedback::new(d);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let faults = CommFaults::new(seed)
-                .with_drops(drops)
-                .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            gtopk_all_reduce_ef_resilient(&mut rp, &mut x, k, comp.as_mut(), &mut ef, &mut scratch);
-            (x, ef.residual().to_vec(), g0)
+            let (run, _) = with_link(c, &combo, peer, |link| {
+                let mut x = g0.clone();
+                let mut ef = ErrorFeedback::new(d);
+                let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
+                let mut scratch = CommScratch::new();
+                let ef_ref = combo.ef.then_some(&mut ef);
+                gtopk_all_reduce(link, &mut x, k, comp.as_mut(), ef_ref, &mut scratch);
+                (x, ef.residual().to_vec())
+            });
+            (run.0, run.1, g0)
         })
     };
     let a = faulted();
@@ -1220,23 +1323,15 @@ fn ok_wire_cap(m: usize, k: usize) -> usize {
 }
 
 fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = || {
-        run_on_group(p, |peer| {
-            let mut x = grad_for(seed, peer.rank(), d);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let rep = ok_sparse_all_reduce(peer, &mut x, m, n, rho, comp.as_mut());
-            (x, rep)
-        })
-    };
-    let a = run();
-    let b = run();
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, rho) = (c.m, c.n, c.d, c.rho);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, 1, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second run differs from the first".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
@@ -1246,23 +1341,22 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
         ops::approx_eq(&xs[0], &reference, SPARSE_TOL),
         || format!("linf={} tol={SPARSE_TOL}", linf(&xs[0], &reference)),
     );
-    let twin = run_on_group(p, |peer| {
-        let mut x = grad_for(seed, peer.rank(), d);
-        let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-        let rep = hitopk_all_reduce(peer, &mut x, m, n, rho, comp.as_mut());
-        (x, rep)
+    let twin = run(&Combo {
+        split_merge: false,
+        ..combo
     });
     ck.check(
         "hitopk-bitwise",
-        a.iter().zip(&twin).all(|((x, rep), (hx, hrep))| {
-            bits_eq(x, hx)
-                && rep.k_per_shard == hrep.k_per_shard
-                && rep.shard_nonzeros == hrep.shard_nonzeros
+        a.iter().zip(&twin).all(|(x, h)| {
+            bits_eq(&x.out, &h.out)
+                && x.rep.k_per_shard == h.rep.k_per_shard
+                && x.rep.shard_nonzeros == h.rep.shard_nonzeros
         }),
         || "O(k) aggregate differs from the HiTopKComm twin bitwise".to_string(),
     );
     let k_full = shard_k(d, n, rho);
-    for (r, (_, rep)) in a.iter().enumerate() {
+    for (r, run) in a.iter().enumerate() {
+        let rep = &run.rep;
         let ok = rep.k_per_shard >= 1
             && rep.k_per_shard <= k_full
             && rep.merged_len <= m * rep.k_per_shard
@@ -1282,108 +1376,54 @@ fn run_oksparse(c: &OracleCase, ck: &mut Checks) {
 }
 
 fn run_oksparse_ef(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let comp_name = c.comp.clone();
-    let run = |ok_path: bool| {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut acc = vec![0.0f32; d];
-            for t in 0..EF_ITERS {
-                let mut x = grad_iter(seed, t, peer.rank(), d);
-                if ok_path {
-                    ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                } else {
-                    hitopk_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-                }
-                ops::add_assign(&mut acc, &x);
-            }
-            (acc, ef.residual().to_vec())
-        })
-    };
-    let a = run(true);
-    let b = run(true);
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, EF_ITERS, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second run differs from the first".to_string()
     });
-    let accs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let accs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&accs), || {
         "ranks hold different accumulated results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals);
+    check_ledger(ck, seed, m, n, d, EF_ITERS, &accs[0], &residuals(&a));
     // Residual carry-over included: the O(k) EF pipeline must reproduce the
-    // hitopk EF twin bitwise — accumulated output and final residuals both.
-    let twin = run(false);
-    ck.check(
-        "hitopk-bitwise",
-        a.iter()
-            .zip(&twin)
-            .all(|((acc, r), (hacc, hr))| bits_eq(acc, hacc) && bits_eq(r, hr)),
-        || "O(k) EF pipeline differs from the HiTopKComm twin bitwise".to_string(),
-    );
+    // hitopk EF pipeline bitwise — accumulated output and final residuals.
+    let twin = run(&Combo {
+        split_merge: false,
+        ..combo
+    });
+    ck.check("hitopk-bitwise", runs_bits_eq(&a, &twin), || {
+        "O(k) EF pipeline differs from the HiTopKComm twin bitwise".to_string()
+    });
 }
 
 fn run_oksparse_ef_res(c: &OracleCase, ck: &mut Checks) {
-    let p = c.m * c.n;
-    let (m, n, d, rho, seed) = (c.m, c.n, c.d, c.rho, c.seed);
-    let (drops, degrade) = (c.drops, c.degrade);
-    let comp_name = c.comp.clone();
-    let faulted = || {
-        run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let faults = CommFaults::new(seed)
-                .with_drops(drops)
-                .with_degrade(degrade);
-            let mut rp = ResilientPeer::new(peer, faults, ResiliencePolicy::default());
-            let mut scratch = CommScratch::new();
-            let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef_resilient(
-                &mut rp,
-                &mut x,
-                m,
-                n,
-                rho,
-                comp.as_mut(),
-                &mut ef,
-                &mut scratch,
-            );
-            (x, ef.residual().to_vec())
-        })
-    };
-    let a = faulted();
-    let b = faulted();
-    ck.check("determinism", a.iter().zip(&b).all(|(x, y)| x == y), || {
+    let (m, n, d, seed) = (c.m, c.n, c.d, c.seed);
+    let combo = combo(&c.collective);
+    let run = |combo: &Combo| exec_sparse(c, combo, 1, None);
+    let a = run(&combo);
+    let b = run(&combo);
+    ck.check("determinism", a == b, || {
         "second faulted run differs".to_string()
     });
-    let xs: Vec<Vec<f32>> = a.iter().map(|(x, _)| x.clone()).collect();
+    let xs = outs(&a);
     ck.check("replica-identity", all_ranks_eq(&xs), || {
         "ranks hold different results".to_string()
     });
-    let residuals: Vec<Vec<f32>> = a.iter().map(|(_, r)| r.clone()).collect();
-    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals);
-    if degrade == 0.0 {
+    check_ledger(ck, seed, m, n, d, 1, &xs[0], &residuals(&a));
+    if c.degrade == 0.0 {
         // Pure drop faults: retries must reproduce the clean O(k)
         // collective bitwise (same compressor replicas, same residuals).
-        let clean = run_on_group(p, |peer| {
-            let shard_len = shards(d, n)[peer.rank() % n].len();
-            let mut ef = ErrorFeedback::new(shard_len);
-            let mut comp = make_compressor(&comp_name, comp_seed(seed, peer.rank()));
-            let mut x = grad_for(seed, peer.rank(), d);
-            ok_sparse_all_reduce_ef(peer, &mut x, m, n, rho, comp.as_mut(), &mut ef);
-            (x, ef.residual().to_vec())
-        });
+        let clean = run(&combo.via(Transport::Plain));
         ck.check(
             "retry-exactness",
-            bits_eq(&xs[0], &clean[0].0)
-                && residuals
-                    .iter()
+            bits_eq(&xs[0], &clean[0].out)
+                && a.iter()
                     .zip(&clean)
-                    .all(|(r, (_, cr))| bits_eq(r, cr)),
+                    .all(|(r, cr)| bits_eq(&r.residual, &cr.residual)),
             || "faulted O(k) EF run differs from clean bitwise".to_string(),
         );
     }

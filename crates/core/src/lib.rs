@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::clouds;
     pub use cloudtrain_collectives::group::run_on_group;
     pub use cloudtrain_collectives::hierarchical::{hitopk_all_reduce, sparse_all_reduce_naive};
-    pub use cloudtrain_collectives::{Group, Peer};
+    pub use cloudtrain_collectives::{CommScratch, Group, Inter, Intra, Link, Peer, Route};
     pub use cloudtrain_compress::{Compressor, ErrorFeedback, MsTopK, SparseGrad};
     pub use cloudtrain_datacache::{CachedLoader, LoaderConfig, RingSampler, SyntheticNfs};
     pub use cloudtrain_dnn::model::{Input, Model};

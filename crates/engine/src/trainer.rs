@@ -8,23 +8,17 @@
 //! PTO), and determinism is end-to-end: replicas stay bitwise identical
 //! across workers, which the test suite asserts.
 
-use cloudtrain_collectives::fusion::{
-    hitopk_all_reduce_ef_fused_resilient, hitopk_all_reduce_ef_fused_traced,
-};
 use cloudtrain_collectives::group::run_on_group;
-use cloudtrain_collectives::gtopk::gtopk_all_reduce_scratch;
-use cloudtrain_collectives::hierarchical::{hitopk_all_reduce_ef_traced, sparse_all_reduce_naive};
+use cloudtrain_collectives::gtopk::gtopk_all_reduce;
+use cloudtrain_collectives::hierarchical::{hitopk_all_reduce, sparse_all_reduce_naive};
 use cloudtrain_collectives::quantized::quantized_all_reduce;
-use cloudtrain_collectives::reorder::{hitopk_all_reduce_ef_reordered, torus_all_reduce_reordered};
-use cloudtrain_collectives::resilience::{
-    gtopk_all_reduce_ef_resilient, hitopk_all_reduce_ef_resilient, torus_all_reduce_resilient,
-    ResilienceReport,
-};
+use cloudtrain_collectives::resilience::ResilienceReport;
 use cloudtrain_collectives::ring::all_gather_f32;
-use cloudtrain_collectives::torus::torus_all_reduce;
+use cloudtrain_collectives::torus::torus_all_reduce_scratch;
 use cloudtrain_collectives::tree::tree_all_reduce;
 use cloudtrain_collectives::{
-    optimize_ring_order, CommFaults, CommScratch, PairCost, Peer, ResiliencePolicy, ResilientPeer,
+    optimize_ring_order, CommFaults, CommScratch, Intra, Link, PairCost, Peer, ResiliencePolicy,
+    ResilientPeer, Route,
 };
 use cloudtrain_compress::exact::QuickTopK;
 use cloudtrain_compress::quantize::Qsgd;
@@ -179,27 +173,31 @@ pub struct DistConfig {
     /// Master seed (model init, data, compressor randomness).
     pub seed: u64,
     /// Communication fault schedule; `None` trains on the clean plane.
-    /// When set, `DenseTorus`, `MsTopKHiTopK` and `GTopK` route through the
-    /// resilient collectives (other strategies keep the clean path).
+    /// When set, `DenseTorus`, `MsTopKHiTopK` and `GTopK` run over a
+    /// `ResilientPeer` link (other strategies keep the clean link); the
+    /// route is otherwise unchanged, so reordering and fused
+    /// compress–reduce apply on the faulted plane too.
     pub faults: Option<FaultConfig>,
     /// How per-layer gradients are grouped into collectives on the dense
     /// aggregation paths (see [`FusionMode`]). Sparse strategies always
     /// aggregate the whole compensated tensor.
     #[serde(default)]
     pub fusion: FusionMode,
-    /// Route `MsTopKHiTopK` through the fused compress–reduce collective
-    /// (one ring-buffer hop feeds the sparsifier directly; bitwise
-    /// identical to the unfused pipeline on both the clean and faulted
-    /// planes).
+    /// Run `MsTopKHiTopK` with the fused compress–reduce step 1 (one
+    /// ring-buffer hop feeds the sparsifier directly; bitwise identical to
+    /// the staged pipeline on the clean and faulted planes and under any
+    /// node order). Its inter exchange ships one framed message per hop
+    /// instead of two, so a faulted run reports fewer hops and at most as
+    /// many `fault_retries` as the staged run of the same seed.
     #[serde(default)]
     pub fused_compress_reduce: bool,
     /// Probe the modeled cloud fabric (pairwise α/β over the simulator,
     /// virtual clock only) and reorder the inter-node rings with the
     /// seeded cost-model optimizer ([`probed_node_order`]). Applies to the
-    /// clean `DenseTorus` and `MsTopKHiTopK` paths; resilient and fused
-    /// routes keep their natural order. On the uniform modeled fabric the
-    /// optimizer returns the identity order, so training is bitwise
-    /// identical either way.
+    /// `DenseTorus` and `MsTopKHiTopK` inter-node rings on every link,
+    /// fused or staged. On the uniform modeled fabric the optimizer
+    /// returns the identity order, so training is bitwise identical either
+    /// way.
     #[serde(default)]
     pub rank_reorder: bool,
 }
@@ -550,12 +548,23 @@ impl DistTrainer {
         // One communication arena per worker: after the first iteration the
         // sparse collectives run without per-hop allocations.
         let mut scratch = CommScratch::new();
-        // Resilience wrapper (per-pair hop counters persist across steps so
-        // sender and receiver replay identical fault ladders).
-        let mut resilient = cfg
+        // The link the gradient collectives run over: the plain peer, or a
+        // resilience wrapper whose per-pair hop counters persist across
+        // steps so sender and receiver replay identical fault ladders.
+        // Metric and rate collectives stay on the plain peer.
+        let resilient = cfg
             .faults
             .as_ref()
             .map(|f| ResilientPeer::new(peer, f.comm_faults(), ResiliencePolicy::default()));
+        let link: &dyn Link = match &resilient {
+            Some(rp) => rp,
+            None => peer,
+        };
+        let intra = if cfg.fused_compress_reduce {
+            Intra::Fused
+        } else {
+            Intra::Staged
+        };
         let mut fault_mark = ResilienceReport::default();
         let mut miss_mark = 0usize;
         let mut report = TrainReport {
@@ -676,16 +685,16 @@ impl DistTrainer {
                             let whole = [cloudtrain_dnn::model::ParamRange { offset: 0, len: d }];
                             for s in spans.as_deref().unwrap_or(&whole) {
                                 let g = &mut grads[s.offset..s.offset + s.len];
-                                if let Some(rp) = resilient.as_mut() {
-                                    // Retry ladder: dense traffic always
-                                    // arrives, so the sum stays exact under
-                                    // any drop rate.
-                                    torus_all_reduce_resilient(rp, g, m, n, &mut scratch);
-                                } else if let Some(order) = node_order.as_deref() {
-                                    torus_all_reduce_reordered(peer, g, m, n, order);
-                                } else {
-                                    torus_all_reduce(peer, g, m, n);
-                                }
+                                // Dense traffic always arrives (a faulted
+                                // link retries), so the sum stays exact.
+                                torus_all_reduce_scratch(
+                                    link,
+                                    g,
+                                    m,
+                                    n,
+                                    node_order.as_deref(),
+                                    &mut scratch,
+                                );
                             }
                         }
                         Strategy::TopKNaiveAg { rho } => {
@@ -699,101 +708,34 @@ impl DistTrainer {
                             sparse_all_reduce_naive(peer, &mut grads, k, &mut exact);
                         }
                         Strategy::MsTopKHiTopK { rho, .. } => {
-                            if let Some(rp) = resilient.as_mut() {
-                                // Graceful degradation: a member missing its
-                                // deadline ships an empty block; its shard
-                                // gradient survives in `ef_shard`.
-                                if cfg.fused_compress_reduce {
-                                    hitopk_all_reduce_ef_fused_resilient(
-                                        rp,
-                                        &mut grads,
-                                        m,
-                                        n,
-                                        rho,
-                                        &mut mstopk,
-                                        &mut ef_shard,
-                                        &mut scratch,
-                                    );
-                                } else {
-                                    hitopk_all_reduce_ef_resilient(
-                                        rp,
-                                        &mut grads,
-                                        m,
-                                        n,
-                                        rho,
-                                        &mut mstopk,
-                                        &mut ef_shard,
-                                        &mut scratch,
-                                    );
-                                }
-                            } else if cfg.fused_compress_reduce {
-                                hitopk_all_reduce_ef_fused_traced(
-                                    peer,
-                                    &mut grads,
-                                    m,
-                                    n,
-                                    rho,
-                                    &mut mstopk,
-                                    &mut ef_shard,
-                                    &mut scratch,
-                                    &mut reg,
-                                );
-                            } else if let Some(order) = node_order.as_deref() {
-                                // Reordered inter ring (untraced: the stage
-                                // spans belong to the natural-order path).
-                                hitopk_all_reduce_ef_reordered(
-                                    peer,
-                                    &mut grads,
-                                    m,
-                                    n,
-                                    rho,
-                                    &mut mstopk,
-                                    &mut ef_shard,
-                                    order,
-                                    &mut scratch,
-                                );
-                            } else {
-                                hitopk_all_reduce_ef_traced(
-                                    peer,
-                                    &mut grads,
-                                    m,
-                                    n,
-                                    rho,
-                                    &mut mstopk,
-                                    &mut ef_shard,
-                                    &mut scratch,
-                                    &mut reg,
-                                );
-                            }
+                            // A contribution the link degrades ships as an
+                            // empty block; its shard gradient survives in
+                            // `ef_shard`.
+                            let mut route = Route {
+                                intra,
+                                ..Route::new(m, n, rho)
+                            };
+                            hitopk_all_reduce(
+                                link,
+                                &mut grads,
+                                &mut route,
+                                node_order.as_deref(),
+                                &mut mstopk,
+                                Some(&mut ef_shard),
+                                &mut scratch,
+                                Some(&mut reg),
+                            );
                         }
                         Strategy::GTopK { rho } => {
                             let k = ((d as f64 * rho).round() as usize).max(1);
-                            if let Some(rp) = resilient.as_mut() {
-                                // Compensate/select/absorb happen inside the
-                                // resilient variant (degradation must precede
-                                // absorb to park the full shard as residual).
-                                gtopk_all_reduce_ef_resilient(
-                                    rp,
-                                    &mut grads,
-                                    k,
-                                    &mut exact,
-                                    &mut ef_full,
-                                    &mut scratch,
-                                );
-                            } else {
-                                ef_full.compensate(&mut grads);
-                                let sel = cloudtrain_compress::Compressor::compress(
-                                    &mut exact, &grads, k,
-                                );
-                                ef_full.absorb(&grads, &sel);
-                                gtopk_all_reduce_scratch(
-                                    peer,
-                                    &mut grads,
-                                    k,
-                                    &mut exact,
-                                    &mut scratch,
-                                );
-                            }
+                            gtopk_all_reduce(
+                                link,
+                                &mut grads,
+                                k,
+                                &mut exact,
+                                Some(&mut ef_full),
+                                &mut scratch,
+                            );
                         }
                         Strategy::Qsgd { .. } => {
                             // Unbiased quantization needs no error feedback.
@@ -916,6 +858,7 @@ impl DistTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn quick(strategy: Strategy, workload: Workload) -> DistConfig {
         DistConfig {
@@ -1368,6 +1311,16 @@ mod tests {
         }
         let degraded: u64 = fused[1].epochs.iter().map(|e| e.fault_degraded).sum();
         assert!(degraded > 0, "straggler never degraded on the fused path");
+        // The fused exchange ships one framed message per inter hop where
+        // the staged one ships two, so its drop ladder walks a prefix of
+        // the staged run's per-pair hop counters: never more retries.
+        let retries = |r: &TrainReport| -> u64 { r.epochs.iter().map(|e| e.fault_retries).sum() };
+        for (rank, (fr, ur)) in fused.iter().zip(&unfused).enumerate() {
+            assert!(
+                retries(fr) <= retries(ur),
+                "rank {rank}: fused retried more"
+            );
+        }
     }
 
     #[test]
@@ -1528,6 +1481,91 @@ mod tests {
             assert_eq!(a.val_top1, b.val_top1);
             assert_eq!(a.residual_norm, b.residual_norm);
         }
+    }
+
+    /// Every per-epoch number a run reports, as bits, for every rank.
+    fn run_bits(cfg: &DistConfig) -> Vec<Vec<[u64; 6]>> {
+        DistTrainer::new(cfg.clone())
+            .run_all_ranks()
+            .iter()
+            .map(|r| {
+                r.epochs
+                    .iter()
+                    .map(|e| {
+                        [
+                            e.train_loss.to_bits() as u64,
+                            e.val_top1.to_bits() as u64,
+                            e.val_top5.to_bits() as u64,
+                            e.residual_norm.to_bits() as u64,
+                            e.fault_retries,
+                            e.fault_degraded,
+                        ]
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rank_reorder_composes_with_faults_and_fusion_bitwise_on_uniform_fabric() {
+        // The probed order is the identity on the uniform modeled fabric,
+        // so adding `rank_reorder` to a faulted or a fused run must not
+        // move a bit: loss, accuracy, residual and fault counters.
+        let base = quick(
+            Strategy::MsTopKHiTopK {
+                rho: 0.05,
+                samplings: 20,
+            },
+            Workload::Mlp,
+        );
+        let faulted = DistConfig {
+            faults: Some(hostile_faults()),
+            ..base.clone()
+        };
+        let fused = DistConfig {
+            fused_compress_reduce: true,
+            ..base
+        };
+        for cfg in [faulted, fused] {
+            let plain = run_bits(&cfg);
+            let reordered = run_bits(&DistConfig {
+                rank_reorder: true,
+                ..cfg.clone()
+            });
+            assert_eq!(
+                plain,
+                reordered,
+                "faults={:?} fused={}",
+                cfg.faults.is_some(),
+                cfg.fused_compress_reduce
+            );
+        }
+    }
+
+    #[test]
+    fn faulted_observed_run_records_the_clean_hitopk_spans() {
+        let clean = quick(
+            Strategy::MsTopKHiTopK {
+                rho: 0.1,
+                samplings: 15,
+            },
+            Workload::Mlp,
+        );
+        let faulted = DistConfig {
+            faults: Some(hostile_faults()),
+            ..clean.clone()
+        };
+        let names = |cfg: DistConfig| {
+            let (_, reg) = DistTrainer::new(cfg).run_observed();
+            reg.spans()
+                .iter()
+                .filter(|s| s.name.starts_with("hitopk/"))
+                .map(|s| s.name.clone())
+                .collect::<BTreeSet<String>>()
+        };
+        let clean_names = names(clean);
+        assert_eq!(clean_names.len(), 4, "{clean_names:?}");
+        assert_eq!(names(faulted), clean_names);
     }
 
     #[test]

@@ -11,9 +11,17 @@
 //!    (the 84-pairing matrix `BENCH_conformance.json` snapshots);
 //! 3. the **oracle dispatch** — the match arms of `oracle::run`.
 //!
+//! A parameterized tag (`hitopk_ef_fused_res`, `torus_reordered`, …) is
+//! claimed through the oracle's `COMBOS` table: the rule re-derives the
+//! tag from the parameter combination registered under it — base entry
+//! (`oksparse` for the split-merge exchange), then `_ef`, `_fused`,
+//! `_res` / `_deadline`, `_reordered` — and the combination's base must be
+//! an exported entry.
+//!
 //! Findings: an exported collective whose derived tag is neither in the
-//! matrix nor exercised by a bench harness; a matrix tag without an
-//! oracle arm; an oracle arm without a matrix registration. Deleting any
+//! matrix nor exercised by a bench harness; a combination whose derived
+//! tag differs from the tag it is registered under; a matrix tag without
+//! an oracle arm; an oracle arm without a matrix registration. Deleting any
 //! one registration (tag, arm, or harness call) therefore turns the lint
 //! job red instead of silently shrinking coverage.
 
@@ -136,6 +144,127 @@ fn oracle_arms(units: &[FileUnit], table: &SymbolTable) -> BTreeMap<String, u32>
     arms
 }
 
+/// One `COMBOS` entry: the tag it is registered under, the tag its
+/// parameter combination derives, and its base entry.
+#[derive(Debug)]
+struct ComboAt {
+    tag: String,
+    derived: String,
+    base: String,
+    line: u32,
+}
+
+/// Derives the matrix tag of one combination from its field tokens:
+/// `plain("base")` or `base: "base"` names the entry, `split_merge: true`
+/// renames it `oksparse`, then `_ef`, `_fused`, `_res`/`_deadline` (from
+/// `link: Transport::…`) and `_reordered` follow in that order.
+fn derive_tag(toks: &[Tok]) -> (String, String) {
+    let mut base = String::new();
+    let mut flags: BTreeSet<&str> = BTreeSet::new();
+    let mut link = "";
+    for (i, t) in toks.iter().enumerate() {
+        match t {
+            Tok::Str(b) if base.is_empty() => base = b.clone(),
+            Tok::Ident(field) if matches!(toks.get(i + 1), Some(Tok::Punct(':'))) => {
+                let value = toks.get(i + 2);
+                match (field.as_str(), value) {
+                    ("link", _) => {
+                        if let Some(Tok::Ident(v)) = toks.get(i + 5) {
+                            link = match v.as_str() {
+                                "Resilient" => "res",
+                                "Deadline" => "deadline",
+                                _ => "",
+                            };
+                        }
+                    }
+                    (f, Some(Tok::Ident(v))) if v == "true" => {
+                        for known in ["split_merge", "ef", "fused", "reordered"] {
+                            if f == known {
+                                flags.insert(known);
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut tag = if flags.contains("split_merge") {
+        "oksparse".to_string()
+    } else {
+        base.clone()
+    };
+    for (flag, suffix) in [("ef", "_ef"), ("fused", "_fused")] {
+        if flags.contains(flag) {
+            tag.push_str(suffix);
+        }
+    }
+    if !link.is_empty() {
+        tag.push('_');
+        tag.push_str(link);
+    }
+    if flags.contains("reordered") {
+        tag.push_str("_reordered");
+    }
+    (tag, base)
+}
+
+/// The oracle's `COMBOS` table: each `("tag", combination)` tuple between
+/// the const's `=` and its `;`.
+fn oracle_combos(units: &[FileUnit]) -> Vec<ComboAt> {
+    let mut out = Vec::new();
+    for unit in units {
+        if !unit.rel_path.ends_with("conformance/src/oracle.rs") {
+            continue;
+        }
+        let toks = &unit.tokens;
+        let Some(start) = toks.iter().position(|t| is_ident(t, "COMBOS")) else {
+            continue;
+        };
+        let Some(eq) = (start..toks.len()).find(|&i| is_punct(&toks[i], '=')) else {
+            continue;
+        };
+        // Walk the initializer; a tuple opens at depth 1 (inside `&[`).
+        let mut depth = 0usize;
+        let mut tuple: Option<(usize, usize)> = None;
+        for i in eq + 1..toks.len() {
+            match &toks[i].tok {
+                Tok::Punct('[') | Tok::Punct('{') => depth += 1,
+                Tok::Punct(']') | Tok::Punct('}') => depth = depth.saturating_sub(1),
+                Tok::Punct('(') => {
+                    if depth == 1 && tuple.is_none() {
+                        tuple = Some((i, depth));
+                    }
+                    depth += 1;
+                }
+                Tok::Punct(')') => {
+                    depth = depth.saturating_sub(1);
+                    if let Some((open, d)) = tuple {
+                        if depth == d {
+                            if let Some(Tok::Str(tag)) = toks.get(open + 1).map(|t| &t.tok) {
+                                let body: Vec<Tok> =
+                                    toks[open + 2..i].iter().map(|t| t.tok.clone()).collect();
+                                let (derived, base) = derive_tag(&body);
+                                out.push(ComboAt {
+                                    tag: tag.clone(),
+                                    derived,
+                                    base,
+                                    line: toks[open].line,
+                                });
+                            }
+                            tuple = None;
+                        }
+                    }
+                }
+                Tok::Punct(';') if depth == 0 => break,
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 /// Maps one exported collective fn name to the matrix tags that cover it.
 /// Returns `None` for names outside the tag grammar (helpers).
 fn tags_for(name: &str) -> Option<Vec<String>> {
@@ -175,6 +304,19 @@ fn tags_for(name: &str) -> Option<Vec<String>> {
         format!("{prefix}_{}", mods.join("_"))
     };
     Some(vec![tag])
+}
+
+/// Path of the oracle source (where `oracle::run` lives).
+fn oracle_path(table: &SymbolTable) -> String {
+    table
+        .by_name
+        .get("run")
+        .and_then(|c| {
+            c.iter()
+                .find(|&&i| table.fns[i].path.ends_with("conformance/src/oracle.rs"))
+        })
+        .map(|&i| table.fns[i].path.clone())
+        .unwrap_or_default()
 }
 
 /// Runs the coverage cross-check. `collectives_crate` names the crate
@@ -252,6 +394,24 @@ pub fn check(
             claimed.insert(format!("{base}_bucketed"));
         }
     }
+    // Parameterized tags are claimed by the combination the oracle runs:
+    // the tag must be the one its parameters derive, over an exported base.
+    for combo in oracle_combos(units) {
+        if combo.derived != combo.tag {
+            findings.push(Finding {
+                rule: "coverage_conformance",
+                path: oracle_path(table),
+                line: combo.line,
+                message: format!(
+                    "combination registered as `{}` derives tag `{}` from its parameters — \
+                     rename the registration or fix the parameters",
+                    combo.tag, combo.derived
+                ),
+            });
+        } else if claimed.contains(&combo.base) {
+            claimed.insert(combo.tag);
+        }
+    }
 
     // Check 2: every matrix tag is claimed by an exported collective and
     // has an oracle dispatch arm.
@@ -289,15 +449,7 @@ pub fn check(
     // Check 3: every oracle arm is a registered tag (deleting a matrix
     // registration while the arm survives is exactly the silent-shrink
     // case this rule exists for).
-    let oracle_path = table
-        .by_name
-        .get("run")
-        .and_then(|c| {
-            c.iter()
-                .find(|&&i| table.fns[i].path.ends_with("conformance/src/oracle.rs"))
-        })
-        .map(|&i| table.fns[i].path.clone())
-        .unwrap_or_default();
+    let oracle_path = oracle_path(table);
     for (arm, line) in &arms {
         if !matrix.contains_key(arm.as_str()) {
             findings.push(Finding {

@@ -1,9 +1,12 @@
 //! Twin-family drift detection (`twin_drift`).
 //!
-//! Every hot collective ships as a family: a base path plus suffix twins
-//! (`_scratch`, `_ef`, `_resilient`, `_deadline`, `_reordered`, `_fused`,
-//! `_quantized`, `_traced`) that must repeat the base's structural call
-//! skeleton modulo a *declared* per-suffix rewrite. A fix applied to the
+//! Transport, order, tracing, fusion and error feedback are parameters of
+//! one implementation per collective; the suffix twins that remain (an
+//! allocation `_scratch` entry, the fused ReduceScatter, the dense
+//! deadline ring) must repeat the base's structural call skeleton modulo a
+//! *declared* per-suffix rewrite, and any new suffix twin (`_ef`,
+//! `_resilient`, `_reordered`, `_quantized`, `_traced`, …) is policed the
+//! same way. A fix applied to the
 //! base but forgotten in one twin shows up here as an unexplained skeleton
 //! difference, statically, instead of waiting for a differential test seed
 //! to hit it.
@@ -13,24 +16,23 @@
 //!    ends in known suffixes, strip suffixes right-to-left until the
 //!    remaining name is a fn in the same crate; that fn is the base and
 //!    the stripped set is the twin's rewrite budget (so
-//!    `gtopk_all_reduce_ef_resilient` pairs with `gtopk_all_reduce` under
-//!    `{ef, resilient}`).
+//!    `ring_all_reduce_deadline` pairs with `ring_all_reduce` under
+//!    `{deadline}`). A suffix without a declared rewrite sanctions
+//!    nothing: a new twin must match its base exactly until its rewrite
+//!    is reviewed in.
 //! 2. **Skeleton** — the set of *significant* callee names in the body:
 //!    names defined in the same crate or in the cross-crate vocabulary
 //!    (compressor/quantizer/error-feedback methods), excluding neutral
 //!    plumbing (`new`, `len`, scratch-pool traffic, obs calls). Callee
 //!    names are normalised first: twin suffixes are stripped
-//!    (`ring_reduce_scatter_scratch` and `ring_reduce_scatter_resilient`
-//!    are the same hop) and declared aliases rewritten
-//!    (`inter_members_ordered` ≡ `inter_node_members`, `absorb_lossy` ≡
-//!    `absorb`).
+//!    (`ring_reduce_scatter_scratch` and `ring_reduce_scatter_deadline`
+//!    are the same hop).
 //! 3. **Delegation inlining** — a body whose significant skeleton is a
-//!    single resolvable same-crate call (`hitopk_all_reduce_fused` →
-//!    `..._fused_scratch` → `hitopk_fused_impl`) is replaced by its
-//!    target's skeleton, to a fixed depth.
-//! 4. **Base expansion** — a twin that calls its own base
-//!    (`ring_all_reduce_reordered` permutes then calls `ring_all_reduce`)
-//!    absorbs the base's skeleton in place of that call.
+//!    single resolvable same-crate call (`torus_all_reduce` →
+//!    `torus_all_reduce_scratch`) is replaced by its target's skeleton, to
+//!    a fixed depth.
+//! 4. **Base expansion** — a twin that calls its own base absorbs the
+//!    base's skeleton in place of that call.
 //! 5. **Diff** — skeleton-set difference against the base, minus the
 //!    union of the suffixes' sanctioned adds/removes. Anything left is a
 //!    `twin_drift` finding at the twin's declaration line.
@@ -99,18 +101,6 @@ const NEUTRAL: &[&str] = &[
     "unit",
 ];
 
-/// Callee-name aliases applied before comparison: the right-hand side is
-/// the canonical form. Declared, not inferred — each line is a reviewed
-/// equivalence.
-const ALIASES: &[(&str, &str)] = &[
-    // A reordered twin visits the same inter-node group through a
-    // permutation; membership is equivalent.
-    ("inter_members_ordered", "inter_node_members"),
-    // The lossy absorb keeps the quantization error in the residual; same
-    // ledger role as the exact absorb.
-    ("absorb_lossy", "absorb"),
-];
-
 /// Per-suffix sanctioned rewrites, over *normalised* callee names.
 struct Rewrite {
     suffix: &'static str,
@@ -120,86 +110,24 @@ struct Rewrite {
 
 const REWRITES: &[Rewrite] = &[
     Rewrite {
-        // Traced twins may only add obs instrumentation — which is
-        // neutral, so nothing structural may change at all.
-        suffix: "traced",
-        adds: &[],
-        removes: &[],
-    },
-    Rewrite {
         // Scratch twins swap allocation sites; pool traffic is neutral.
         suffix: "scratch",
         adds: &[],
         removes: &[],
     },
     Rewrite {
-        // Error feedback wraps the sparsification point.
-        suffix: "ef",
-        adds: &["compensate", "absorb", "shard_k", "empty"],
-        removes: &[],
-    },
-    Rewrite {
-        // Retry-ladder twins add fault bookkeeping and may degrade a
-        // contribution to an empty selection; the fused pairs gather is
-        // replaced by the resilient per-type gathers.
-        suffix: "resilient",
-        adds: &[
-            "begin_instance",
-            "contribution_degraded",
-            "empty",
-            "all_gather_f32",
-            "all_gather_u32",
-            "report",
-        ],
-        removes: &["all_gather_pairs"],
-    },
-    Rewrite {
-        // Deadline twins charge each hop against a lateness budget and
-        // may miss a contribution.
+        // Deadline twins charge each hop against a lateness budget.
         suffix: "deadline",
-        adds: &[
-            "hop_lateness",
-            "hop_missed",
-            "contribution_lateness",
-            "empty",
-            "pair_wire_bytes",
-        ],
+        adds: &["hop_lateness", "hop_missed"],
         removes: &[],
     },
     Rewrite {
-        // Reordered twins validate and apply a node permutation.
-        suffix: "reordered",
-        adds: &["assert_valid_order"],
-        removes: &[],
-    },
-    Rewrite {
-        // Fused twins stage both gather payloads through the fused pairs
-        // gather instead of separate f32/u32 gathers. The shared fused
-        // impl also hosts the optional error-feedback compensate/absorb
-        // cycle behind an `Option` parameter (plain-fused callers pass
-        // `None`), so those two names are sanctioned for the family.
+        // The fused ReduceScatter runs the base hop schedule with the
+        // accumulation moved into the received buffer: nothing structural
+        // changes.
         suffix: "fused",
-        adds: &[
-            "all_gather_pairs",
-            "group_wire_bytes",
-            "compensate",
-            "absorb",
-        ],
-        removes: &["all_gather_f32", "all_gather_u32"],
-    },
-    Rewrite {
-        // Quantized twins add the value-quantization stage (quantize, then
-        // an elementwise decode of the selection the simulation transmits)
-        // and charge the packed wire format explicitly.
-        suffix: "quantized",
-        adds: &[
-            "quantize",
-            "decode",
-            "member_index",
-            "quantized_pair_wire_bytes",
-            "pair_wire_bytes",
-        ],
-        removes: &["ok_sparse_wire_bytes"],
+        adds: &[],
+        removes: &[],
     },
 ];
 
@@ -210,14 +138,9 @@ pub struct TwinStats {
     pub families: usize,
 }
 
-/// Normalises one callee name: alias rewrite, then iterative suffix strip.
+/// Normalises one callee name: iterative suffix strip.
 fn normalize(name: &str) -> String {
     let mut n = name.to_string();
-    for (from, to) in ALIASES {
-        if n == *from {
-            n = to.to_string();
-        }
-    }
     loop {
         let mut stripped = false;
         for s in SUFFIXES {

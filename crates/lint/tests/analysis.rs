@@ -42,14 +42,14 @@ fn twin_drift_flags_a_twin_missing_a_base_hop() {
     let src = "\
 fn hop_a() {}\n\
 fn hop_b() {}\n\
-fn begin_instance() {}\n\
+fn hop_missed() {}\n\
 pub fn reduce_pair(x: &mut [f32]) { hop_a(); hop_b(); }\n\
-pub fn reduce_pair_resilient(x: &mut [f32]) { hop_a(); begin_instance(); }\n";
+pub fn reduce_pair_deadline(x: &mut [f32]) { hop_a(); hop_missed(); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
     let hits = rule_hits(&report, "twin_drift");
     assert_eq!(hits.len(), 1, "{:?}", report.findings);
-    assert!(hits[0].message.contains("reduce_pair_resilient"));
+    assert!(hits[0].message.contains("reduce_pair_deadline"));
     assert!(
         hits[0].message.contains("missing base calls [hop_b]"),
         "{}",
@@ -81,17 +81,17 @@ pub fn reduce_pair_scratch(x: &mut [f32]) { hop_a(); hop_b(); rogue_stage(); }\n
 
 #[test]
 fn twin_drift_accepts_declared_rewrites_and_neutral_plumbing() {
-    // The resilient twin adds begin_instance (sanctioned for `resilient`)
-    // and scratch-pool traffic (neutral); the scratch twin only swaps
+    // The deadline twin adds hop_missed (sanctioned for `deadline`) and
+    // scratch-pool traffic (neutral); the scratch twin only swaps
     // allocation. Both are clean.
     let src = "\
 fn hop_a() {}\n\
 fn hop_b() {}\n\
-fn begin_instance() {}\n\
+fn hop_missed() {}\n\
 fn take_f32() {}\n\
 pub fn reduce_pair(x: &mut [f32]) { hop_a(); hop_b(); }\n\
 pub fn reduce_pair_scratch(x: &mut [f32]) { take_f32(); hop_a(); hop_b(); }\n\
-pub fn reduce_pair_resilient(x: &mut [f32]) { begin_instance(); hop_a(); hop_b(); }\n";
+pub fn reduce_pair_deadline(x: &mut [f32]) { hop_missed(); hop_a(); hop_b(); }\n";
     let inputs = [input("crates/fix/src/lib.rs", "fixture-collectives", src)];
     let report = run_files(&inputs, &twin_config());
     assert_eq!(
@@ -133,7 +133,7 @@ fn mutation_dropping_a_base_hop_flags_every_undrifted_twin() {
         .iter_mut()
         .find(|i| i.rel_path == "crates/collectives/src/ring.rs")
         .expect("ring.rs present");
-    let hop = "peer.send_f32(right, send_chunk);";
+    let hop = "link.send_f32(right, send_chunk);";
     assert!(ring.src.contains(hop), "mutation anchor moved");
     // First occurrence is ring_reduce_scatter_scratch's hop (the all-gather
     // body repeats the line further down).
@@ -145,7 +145,7 @@ fn mutation_dropping_a_base_hop_flags_every_undrifted_twin() {
         .iter()
         .filter(|f| f.rule == "twin_drift" && f.message.contains("send_f32"))
         .collect();
-    for twin in ["ring_reduce_scatter_resilient", "ring_reduce_scatter_fused"] {
+    for twin in ["ring_reduce_scatter_fused", "ring_reduce_scatter_deadline"] {
         assert!(
             drift.iter().any(|f| f.message.contains(twin)),
             "undrifted twin `{twin}` must be flagged; got {drift:?}"
@@ -296,6 +296,33 @@ fn deleting_a_conformance_registration_turns_lint_red() {
     );
 }
 
+#[test]
+fn a_combination_whose_parameters_drift_from_its_tag_turns_lint_red() {
+    let root = workspace_root();
+    let config = Config::default();
+    let mut inputs = collect_workspace(&root, &config).expect("walk");
+    let oracle_rs = inputs
+        .iter_mut()
+        .find(|i| i.rel_path == "crates/conformance/src/oracle.rs")
+        .expect("oracle.rs present");
+    let entry = "\"hitopk_ef_fused_res\",\n        Combo {\n            ef: true,\n            fused: true,";
+    assert!(oracle_rs.src.contains(entry), "anchor moved");
+    // `hitopk_ef_fused_res` silently stops fusing: its parameters now
+    // derive `hitopk_ef_res`.
+    let drifted = entry.replace("fused: true", "fused: false");
+    oracle_rs.src = oracle_rs.src.replacen(entry, &drifted, 1);
+
+    let report = run_files(&inputs, &config);
+    let hits = rule_hits(&report, "coverage_conformance");
+    assert!(
+        hits.iter().any(|f| f
+            .message
+            .contains("`hitopk_ef_fused_res` derives tag `hitopk_ef_res`")),
+        "a drifted combination must be caught: {:?}",
+        report.findings
+    );
+}
+
 // ------------------------------------------------------------------ cast_flow
 
 #[test]
@@ -423,8 +450,12 @@ fn analyzer_self_metrics_reflect_the_real_tree() {
         "call graph too sparse: {}",
         report.call_edges
     );
+    // The remaining families: the `_scratch` entries of the ring
+    // primitives, AllGathers and torus, the fused ReduceScatter, and the
+    // dense deadline ring (transport, order, tracing, fusion and error
+    // feedback are parameters, not twins).
     assert!(
-        report.twin_families > 20,
+        report.twin_families >= 9,
         "twin discovery broke: {}",
         report.twin_families
     );

@@ -93,7 +93,9 @@ fn main() {
         let mut rng = init::rng_from_seed(900 + peer.rank() as u64);
         let mut x = init::uniform_tensor(d, -1.0, 1.0, &mut rng).into_vec();
         let mut c = SortTopK;
-        let rep = hitopk_all_reduce(peer, &mut x, m, n, 0.05, &mut c);
+        let mut route = Route::new(m, n, 0.05);
+        let scratch = &mut CommScratch::new();
+        let rep = hitopk_all_reduce(peer, &mut x, &mut route, None, &mut c, None, scratch, None);
         (x, rep)
     });
     let all_same = results.windows(2).all(|w| w[0].0 == w[1].0);

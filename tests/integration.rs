@@ -104,7 +104,9 @@ fn hitopk_distributed_equals_sequential_composition() {
     let results = run_on_group(m * n, |peer| {
         let mut x = grads[peer.rank()].clone();
         let mut c = SortTopK;
-        hitopk_all_reduce(peer, &mut x, m, n, rho, &mut c);
+        let mut route = Route::new(m, n, rho);
+        let scratch = &mut CommScratch::new();
+        hitopk_all_reduce(peer, &mut x, &mut route, None, &mut c, None, scratch, None);
         x
     });
     for x in &results {
