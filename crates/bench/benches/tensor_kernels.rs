@@ -54,75 +54,6 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs simd lane tier, head to head in one binary. Both modules are
-/// always compiled (the cargo feature only switches which one the
-/// dispatching wrappers call), so the tier contrast is measurable
-/// regardless of the feature set — and the tiers being bitwise identical,
-/// any gap is pure throughput.
-fn bench_lane_tiers(c: &mut Criterion) {
-    use cloudtrain::compress::quantize::lanes;
-
-    let mut group = c.benchmark_group("lane_tiers");
-    let mut rng = init::rng_from_seed(5);
-    let d = 1usize << 20;
-    let x = init::gradient_like_tensor(d, &mut rng).into_vec();
-    group.throughput(Throughput::Elements(d as u64));
-
-    // scatter_add at 1% density: the HiTopK accumulation hot loop.
-    let k = d / 100;
-    let idx: Vec<u32> = (0..k as u32).map(|i| i * 100).collect();
-    let vals: Vec<f32> = x.iter().step_by(100).take(k).copied().collect();
-    type ScatterFn = fn(&mut [f32], &[u32], &[f32]);
-    for (tier, scatter) in [
-        ("scalar", ops::scalar::scatter_add as ScatterFn),
-        ("simd", ops::simd::scatter_add as ScatterFn),
-    ] {
-        group.bench_function(&format!("scatter_add_1pct/{tier}"), |b| {
-            let mut acc = vec![0.0f32; d];
-            b.iter(|| {
-                scatter(&mut acc, &idx, &vals);
-                black_box(acc[0])
-            })
-        });
-    }
-
-    // Quantize (sign encode) and dequantize (code decode + fused
-    // decode-accumulate): the ScaledSign / QSGD wire hot loops.
-    let codes = lanes::scalar::sign_codes(&x);
-    type SignFn = fn(&[f32]) -> Vec<i8>;
-    type DecodeFn = fn(&[i8], f32) -> Vec<f32>;
-    type AddDecodedFn = fn(&mut [f32], &[i8], f32);
-    for (tier, sign, decode, add_decoded) in [
-        (
-            "scalar",
-            lanes::scalar::sign_codes as SignFn,
-            lanes::scalar::decode as DecodeFn,
-            lanes::scalar::add_decoded as AddDecodedFn,
-        ),
-        (
-            "simd",
-            lanes::simd::sign_codes as SignFn,
-            lanes::simd::decode as DecodeFn,
-            lanes::simd::add_decoded as AddDecodedFn,
-        ),
-    ] {
-        group.bench_function(&format!("quantize_sign/{tier}"), |b| {
-            b.iter(|| black_box(sign(&x)))
-        });
-        group.bench_function(&format!("dequantize_decode/{tier}"), |b| {
-            b.iter(|| black_box(decode(&codes, 0.25)))
-        });
-        group.bench_function(&format!("dequantize_accumulate/{tier}"), |b| {
-            let mut acc = vec![0.0f32; d];
-            b.iter(|| {
-                add_decoded(&mut acc, &codes, 0.25);
-                black_box(acc[0])
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_conv(c: &mut Criterion) {
     use cloudtrain::dnn::conv::Conv2d;
     use cloudtrain::dnn::layer::Layer;
@@ -149,5 +80,5 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_lane_tiers, bench_conv);
+criterion_group!(benches, bench_kernels, bench_conv);
 criterion_main!(benches);

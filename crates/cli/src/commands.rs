@@ -126,8 +126,8 @@ fn positive(args: &Args, key: &str, default: usize) -> Result<usize, ParseError>
 }
 
 /// The density flag: a fraction in (0, 1].
-fn rho_of(args: &Args) -> Result<f64, ParseError> {
-    let rho: f64 = args.num_or("rho", 0.01)?;
+fn rho_of(args: &Args, default: f64) -> Result<f64, ParseError> {
+    let rho: f64 = args.num_or("rho", default)?;
     if !(rho > 0.0 && rho <= 1.0) {
         return Err(ParseError(format!("--rho must be in (0, 1], got {rho}")));
     }
@@ -135,7 +135,7 @@ fn rho_of(args: &Args) -> Result<f64, ParseError> {
 }
 
 fn strategy_of(args: &Args) -> Result<Strategy, ParseError> {
-    let rho = rho_of(args)?;
+    let rho = rho_of(args, 0.01)?;
     Ok(match args.get_or("strategy", "mstopk") {
         "dense" => Strategy::DenseTreeAr,
         "2dtar" => Strategy::DenseTorus,
@@ -287,7 +287,7 @@ fn cmd_sweep(args: &Args) -> Result<(), ParseError> {
     args.reject_unknown(&["model", "nodes", "cloud", "rho"])?;
     let cluster = cluster_of(args)?;
     let profile = model_of(args)?;
-    let rho: f64 = args.num_or("rho", 0.01)?;
+    let rho = rho_of(args, 0.01)?;
     println!(
         "{} on {} GPUs ({}):",
         profile.name,
@@ -363,8 +363,8 @@ fn cmd_faults(args: &Args) -> Result<(), ParseError> {
     ])?;
     let cluster = cluster_of(args)?;
     let profile = model_of(args)?;
-    let rho: f64 = args.num_or("rho", 0.01)?;
-    let seeds: u64 = args.num_or("seeds", 4)?;
+    let rho = rho_of(args, 0.01)?;
+    let seeds = positive(args, "seeds", 4)? as u64;
     let drops: f64 = args.num_or("drops", 0.01)?;
     let spikes: f64 = args.num_or("spikes", 0.01)?;
     let stragglers: usize = args.num_or("stragglers", 2)?;
@@ -465,7 +465,7 @@ fn cmd_trace(args: &Args) -> Result<(), ParseError> {
     let cluster = cluster_of(args)?;
     let profile = model_of(args)?;
     let strategy = strategy_of(args)?;
-    let samples: u64 = args.num_or("samples", 256)?;
+    let samples = positive(args, "samples", 256)? as u64;
     let mut reg = Registry::new();
 
     // Plane 1: the strategy's collective schedule on the simulated
@@ -805,22 +805,17 @@ fn cmd_autotune(args: &Args) -> Result<(), ParseError> {
         other => return Err(ParseError(format!("unknown workload `{other}`"))),
     };
     let mut spec = cluster_with(args, 4)?;
-    spec.gpus_per_node = args.num_or("gpus", spec.gpus_per_node)?;
-    if spec.nodes < 2 || spec.gpus_per_node < 1 {
-        return Err(ParseError(
-            "autotune needs at least 2 nodes and 1 GPU per node".into(),
-        ));
+    spec.gpus_per_node = positive(args, "gpus", spec.gpus_per_node)?;
+    if spec.nodes < 2 {
+        return Err(ParseError("autotune needs at least 2 nodes".into()));
     }
     let cfg = AutotuneConfig {
-        rho: args.num_or("rho", 0.01)?,
+        rho: rho_of(args, 0.01)?,
         overlap: args.num_or("overlap", 0.75)?,
         samplings: args.num_or("samplings", 30)?,
     };
     if !(0.0..=1.0).contains(&cfg.overlap) {
         return Err(ParseError("--overlap must be in [0, 1]".into()));
-    }
-    if !(0.0 < cfg.rho && cfg.rho <= 1.0) {
-        return Err(ParseError("--rho must be in (0, 1]".into()));
     }
     let ranges = workload_layer_ranges(workload);
     let model = CommModel::new(spec);
@@ -920,10 +915,7 @@ fn cmd_tails(args: &Args) -> Result<(), ParseError> {
     if spec.nodes < 2 {
         return Err(ParseError("tails needs at least 2 nodes".into()));
     }
-    let seeds: u64 = args.num_or("seeds", 4)?;
-    if seeds == 0 {
-        return Err(ParseError("--seeds must be at least 1".into()));
-    }
+    let seeds = positive(args, "seeds", 4)? as u64;
     let bytes: usize = args.num_or("bytes", 1 << 20)?;
     let mult: f64 = args.num_or("mult", 1.5)?;
     if mult < 1.0 {
@@ -1037,6 +1029,9 @@ fn cmd_elastic(args: &Args) -> Result<(), ParseError> {
             "elastic: every scenario needs --nodes >= 3 and --epochs >= 3".to_string(),
         ));
     }
+    let gpus_per_node = positive(args, "gpus", 1)?;
+    let iters_per_epoch = positive(args, "iters", 4)?;
+    let rho = rho_of(args, 0.05)?;
     let scenario = match args.get_or("scenario", "evict") {
         "steady" => ElasticScenario::steady(seed, nodes, epochs),
         "evict" => ElasticScenario::evict(seed, nodes, epochs),
@@ -1094,19 +1089,13 @@ fn cmd_elastic(args: &Args) -> Result<(), ParseError> {
 
     let cfg = DistConfig {
         nodes,
-        gpus_per_node: args.num_or("gpus", 1)?,
+        gpus_per_node,
         epochs,
-        iters_per_epoch: args.num_or("iters", 4)?,
+        iters_per_epoch,
         local_batch: 4,
         eval_samples: 16,
         seed,
-        ..DistConfig::small(
-            Strategy::MsTopKHiTopK {
-                rho: args.num_or("rho", 0.05)?,
-                samplings: 20,
-            },
-            Workload::Mlp,
-        )
+        ..DistConfig::small(Strategy::MsTopKHiTopK { rho, samplings: 20 }, Workload::Mlp)
     };
     let trainer = DistTrainer::new(cfg);
     let elastic = trainer.run_elastic(&scenario);
@@ -1437,6 +1426,18 @@ mod tests {
             ("simulate --rho nan", "--rho"),
             ("simulate --rho 0", "--rho"),
             ("simulate --rho 1.5", "--rho"),
+            ("sweep --rho nan", "--rho"),
+            ("sweep --rho 0", "--rho"),
+            ("faults --rho 5", "--rho"),
+            ("faults --seeds 0", "--seeds"),
+            ("trace --samples 0", "--samples"),
+            ("elastic --rho 7", "--rho"),
+            ("elastic --rho 7 --mode reshard", "--rho"),
+            ("elastic --gpus 0", "--gpus"),
+            ("elastic --iters 0", "--iters"),
+            ("autotune --rho 2", "--rho"),
+            ("autotune --gpus 0", "--gpus"),
+            ("tails --seeds 0", "--seeds"),
         ] {
             let err = dispatch(&args(cmd)).expect_err(cmd);
             assert!(err.to_string().contains(flag), "{cmd}: {err}");

@@ -303,33 +303,56 @@ mod tests {
     }
 
     #[test]
+    fn fused_split_merge_is_rejected() {
+        let messages = run_on_group(1, |peer| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut route = Route {
+                    intra: Intra::Fused,
+                    inter: Inter::SplitMerge,
+                    ..Route::new(1, 1, 0.5)
+                };
+                let mut x = vec![1.0f32; 8];
+                hitopk_all_reduce(
+                    peer,
+                    &mut x,
+                    &mut route,
+                    None,
+                    &mut SortTopK,
+                    None,
+                    &mut CommScratch::new(),
+                    None,
+                );
+            }))
+            .expect_err("fused + split-merge must be rejected");
+            err.downcast_ref::<&str>().map(|m| m.to_string())
+        });
+        let message = messages[0].as_deref().unwrap_or("");
+        assert!(
+            message.contains("fused step 1 needs the all-gather exchange"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn fused_traced_aggregation_matches_unfused_traced() {
-        // Same bits, different span shape (4 spans staged, 3 fused) — for
-        // both exchanges.
+        // Same bits, different span shape (4 spans staged, 3 fused).
         let (m, n, d, rho) = (2usize, 2usize, 40usize, 0.25f64);
         let input = |_: usize, rank: usize| vec_for(rank, d);
-        for inter in [Inter::AllGather, Inter::SplitMerge] {
-            let staged = Variant {
-                traced: true,
-                inter,
-                ..Variant::plain(false)
-            };
-            let fused = Variant {
-                intra: Intra::Fused,
-                ..staged.clone()
-            };
-            let a = run_variant(&staged, m, n, d, rho, 1, input, |r| {
-                MsTopK::new(3, r as u64)
-            });
-            let b = run_variant(&fused, m, n, d, rho, 1, input, |r| MsTopK::new(3, r as u64));
-            assert_bitwise("fused vs staged traced", &a, &b);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(
-                    (x.spans.len(), y.spans.len()),
-                    (4, 3),
-                    "{inter:?} span counts"
-                );
-            }
+        let staged = Variant {
+            traced: true,
+            ..Variant::plain(false)
+        };
+        let fused = Variant {
+            intra: Intra::Fused,
+            ..staged.clone()
+        };
+        let a = run_variant(&staged, m, n, d, rho, 1, input, |r| {
+            MsTopK::new(3, r as u64)
+        });
+        let b = run_variant(&fused, m, n, d, rho, 1, input, |r| MsTopK::new(3, r as u64));
+        assert_bitwise("fused vs staged traced", &a, &b);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((x.spans.len(), y.spans.len()), (4, 3), "span counts");
         }
     }
 }

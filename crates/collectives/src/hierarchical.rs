@@ -179,29 +179,32 @@ pub fn pair_wire_bytes(entries: usize) -> usize {
 }
 
 /// Span and counter names of one exchange family (`hitopk/…` for the
-/// all-gather, `oksparse/…` for split-merge).
+/// all-gather, `oksparse/…` for split-merge). The fused step 1 runs only
+/// with the all-gather, so its names are `hitopk/…` constants.
 struct Names {
     reduce_scatter: &'static str,
     compress: &'static str,
-    fused: &'static str,
     inter: &'static str,
     all_gather: &'static str,
     invocations: &'static str,
-    fused_invocations: &'static str,
     inter_bytes: &'static str,
     nonzeros: &'static str,
     merged_len: Option<&'static str>,
     k: &'static str,
 }
 
+/// Span of the fused compress–reduce step 1.
+const FUSED_SPAN: &str = "hitopk/fused reduce-compress";
+
+/// Counter of fused step-1 invocations.
+const FUSED_INVOCATIONS: &str = "hitopk/fused_invocations";
+
 const HITOPK: Names = Names {
     reduce_scatter: "hitopk/intra reduce-scatter",
     compress: "hitopk/top-k compression",
-    fused: "hitopk/fused reduce-compress",
     inter: "hitopk/inter all-gather",
     all_gather: "hitopk/intra all-gather",
     invocations: "hitopk/invocations",
-    fused_invocations: "hitopk/fused_invocations",
     inter_bytes: "hitopk/inter_bytes_sent",
     nonzeros: "hitopk/shard_nonzeros",
     merged_len: None,
@@ -211,11 +214,9 @@ const HITOPK: Names = Names {
 const OKSPARSE: Names = Names {
     reduce_scatter: "oksparse/intra reduce-scatter",
     compress: "oksparse/top-k compression",
-    fused: "oksparse/fused reduce-compress",
     inter: "oksparse/inter split-merge",
     all_gather: "oksparse/intra all-gather",
     invocations: "oksparse/invocations",
-    fused_invocations: "oksparse/fused_invocations",
     inter_bytes: "oksparse/inter_bytes_sent",
     nonzeros: "oksparse/shard_nonzeros",
     merged_len: Some("oksparse/merged_len"),
@@ -312,8 +313,9 @@ fn select<'q, L: Link + ?Sized, C: Compressor + ?Sized>(
 ///
 /// # Panics
 /// Panics if the group size is not `m * n`, `node_order` is not a
-/// permutation of `0..m`, a codec comes with [`Inter::AllGather`], or the
-/// residual dimension does not match this rank's shard.
+/// permutation of `0..m`, a codec comes with [`Inter::AllGather`],
+/// [`Intra::Fused`] comes with [`Inter::SplitMerge`], or the residual
+/// dimension does not match this rank's shard.
 #[allow(clippy::too_many_arguments)]
 pub fn hitopk_all_reduce<L: Link + ?Sized, C: Compressor + ?Sized>(
     link: &L,
@@ -330,6 +332,10 @@ pub fn hitopk_all_reduce<L: Link + ?Sized, C: Compressor + ?Sized>(
     assert!(
         route.codec.is_none() || route.inter == Inter::SplitMerge,
         "hitopk_all_reduce: a value codec needs the split-merge exchange"
+    );
+    assert!(
+        route.intra == Intra::Staged || route.inter == Inter::AllGather,
+        "hitopk_all_reduce: the fused step 1 needs the all-gather exchange"
     );
     let names = match route.inter {
         Inter::AllGather => &HITOPK,
@@ -359,7 +365,7 @@ pub fn hitopk_all_reduce<L: Link + ?Sized, C: Compressor + ?Sized>(
         Intra::Fused => {
             // x stays read-only; the sparsifier consumes the reduced shard
             // straight out of the ring buffer.
-            let span = obs::span_begin(&mut reg, names.fused);
+            let span = obs::span_begin(&mut reg, FUSED_SPAN);
             let (shard, mut reduced) = ring_reduce_scatter_fused(link, x, &intra, scratch);
             let (selection, levels) =
                 select(link, instance, &mut reduced, k, compressor, ef, codec);
@@ -432,7 +438,7 @@ pub fn hitopk_all_reduce<L: Link + ?Sized, C: Compressor + ?Sized>(
     if let Some(reg) = reg.as_mut() {
         reg.counter_add(names.invocations, 1);
         if route.intra == Intra::Fused {
-            reg.counter_add(names.fused_invocations, 1);
+            reg.counter_add(FUSED_INVOCATIONS, 1);
         }
         reg.counter_add(names.inter_bytes, inter_bytes_sent as u64);
         reg.counter_add(names.nonzeros, shard_nonzeros as u64);

@@ -225,14 +225,12 @@ mod tests {
         ef.compensate(&mut g);
     }
 
-    /// The error-feedback cycle rides entirely on the tensor lane kernels
-    /// (`add_assign`, `zero_at`); whatever tier combination is active, a
-    /// multi-round compensate→compress→absorb cycle must be bitwise
-    /// identical to a hand-rolled scalar-tier reference.
+    /// The error-feedback cycle rides entirely on the tensor kernels
+    /// (`add_assign`, `zero_at`); a multi-round compensate→compress→absorb
+    /// cycle must be bitwise identical to a hand-rolled per-element
+    /// reference.
     #[test]
     fn cycle_matches_scalar_reference_bitwise() {
-        use cloudtrain_tensor::ops::scalar;
-
         let d = 4 * cloudtrain_tensor::ops::LANES + 5;
         let mut ef = ErrorFeedback::new(d);
         let mut ref_residual = vec![0.0f32; d];
@@ -250,10 +248,14 @@ mod tests {
             ef.absorb(&g, &s);
 
             let mut g_ref = base;
-            scalar::add_assign(&mut g_ref, &ref_residual);
+            for (gi, ri) in g_ref.iter_mut().zip(&ref_residual) {
+                *gi += ri;
+            }
             assert_eq!(g, g_ref, "compensated gradients diverged");
             ref_residual.copy_from_slice(&g_ref);
-            scalar::zero_at(&mut ref_residual, &s.indices);
+            for &i in &s.indices {
+                ref_residual[i as usize] = 0.0;
+            }
             assert_eq!(ef.residual(), &ref_residual[..], "residuals diverged");
         }
     }

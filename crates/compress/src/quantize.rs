@@ -10,107 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use cloudtrain_tensor::ops;
-
-#[cfg(feature = "simd")]
-use lanes::simd as lane;
-
-#[cfg(not(feature = "simd"))]
-use lanes::scalar as lane;
-
-/// Lane-tier kernels for the quantizer hot loops: code decode, decoded
-/// accumulate, and deterministic sign encode. The stochastic encoders
-/// (QSGD, TernGrad) draw one RNG value per element in sequence and are
-/// inherently serial, so the lane tier covers the data-parallel passes.
-///
-/// Both tiers are always compiled — the differential tests and the
-/// micro-benches compare them regardless of the feature set — and the
-/// `simd` cargo feature selects which one the [`QuantizedGrad`] /
-/// [`ScaledSign`] methods dispatch to. All kernels are purely
-/// position-wise, so the tiers are bitwise identical for every input.
-pub mod lanes {
-    /// Lane width; shared with `cloudtrain_tensor::ops::LANES`.
-    pub const LANES: usize = cloudtrain_tensor::ops::LANES;
-
-    /// Per-element reference forms.
-    pub mod scalar {
-        /// Decodes signed level codes: `out[i] = codes[i] as f32 * inv`.
-        pub fn decode(codes: &[i8], inv: f32) -> Vec<f32> {
-            codes.iter().map(|&c| c as f32 * inv).collect()
-        }
-
-        /// `acc[i] += codes[i] as f32 * inv`.
-        ///
-        /// # Panics
-        /// Panics on a length mismatch.
-        pub fn add_decoded(acc: &mut [f32], codes: &[i8], inv: f32) {
-            assert_eq!(acc.len(), codes.len(), "add_decoded: length mismatch");
-            for (a, &c) in acc.iter_mut().zip(codes) {
-                *a += c as f32 * inv;
-            }
-        }
-
-        /// Sign codes: `+1` where `v >= 0.0` (IEEE comparison, so `-0.0`
-        /// encodes `+1`), `-1` otherwise.
-        pub fn sign_codes(x: &[f32]) -> Vec<i8> {
-            x.iter().map(|&v| if v >= 0.0 { 1i8 } else { -1 }).collect()
-        }
-    }
-
-    /// Fixed-width `[_; LANES]` lane-array forms; bitwise identical to
-    /// [`scalar`] (the kernels are purely position-wise).
-    pub mod simd {
-        use super::LANES;
-
-        /// Decodes signed level codes: `out[i] = codes[i] as f32 * inv`.
-        pub fn decode(codes: &[i8], inv: f32) -> Vec<f32> {
-            let mut out = vec![0.0f32; codes.len()];
-            let mut oc = out.chunks_exact_mut(LANES);
-            let mut cc = codes.chunks_exact(LANES);
-            for (ol, cl) in (&mut oc).zip(&mut cc) {
-                let vals: [f32; LANES] = std::array::from_fn(|j| cl[j] as f32 * inv);
-                ol.copy_from_slice(&vals);
-            }
-            for (o, &c) in oc.into_remainder().iter_mut().zip(cc.remainder()) {
-                *o = c as f32 * inv;
-            }
-            out
-        }
-
-        /// `acc[i] += codes[i] as f32 * inv`.
-        ///
-        /// # Panics
-        /// Panics on a length mismatch.
-        pub fn add_decoded(acc: &mut [f32], codes: &[i8], inv: f32) {
-            assert_eq!(acc.len(), codes.len(), "add_decoded: length mismatch");
-            let mut ac = acc.chunks_exact_mut(LANES);
-            let mut cc = codes.chunks_exact(LANES);
-            for (al, cl) in (&mut ac).zip(&mut cc) {
-                let vals: [f32; LANES] = std::array::from_fn(|j| al[j] + cl[j] as f32 * inv);
-                al.copy_from_slice(&vals);
-            }
-            for (a, &c) in ac.into_remainder().iter_mut().zip(cc.remainder()) {
-                *a += c as f32 * inv;
-            }
-        }
-
-        /// Sign codes matching [`super::scalar::sign_codes`] bit for bit.
-        pub fn sign_codes(x: &[f32]) -> Vec<i8> {
-            let mut out = vec![0i8; x.len()];
-            let mut oc = out.chunks_exact_mut(LANES);
-            let mut xc = x.chunks_exact(LANES);
-            for (ol, xl) in (&mut oc).zip(&mut xc) {
-                let codes: [i8; LANES] =
-                    std::array::from_fn(|j| if xl[j] >= 0.0 { 1i8 } else { -1 });
-                ol.copy_from_slice(&codes);
-            }
-            for (o, &v) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-                *o = if v >= 0.0 { 1 } else { -1 };
-            }
-            out
-        }
-    }
-}
+use cloudtrain_tensor::ops::{self, LANES};
 
 /// A quantized gradient: per-tensor scale plus one small code per element.
 #[derive(Debug, Clone, PartialEq)]
@@ -135,7 +35,8 @@ impl QuantizedGrad {
 
     /// Decodes back to a dense vector.
     pub fn decode(&self) -> Vec<f32> {
-        lane::decode(&self.codes, self.inv())
+        let inv = self.inv();
+        self.codes.iter().map(|&c| c as f32 * inv).collect()
     }
 
     /// Adds the decoded values into an accumulator.
@@ -144,7 +45,18 @@ impl QuantizedGrad {
     /// Panics on a length mismatch.
     pub fn add_into(&self, acc: &mut [f32]) {
         assert_eq!(acc.len(), self.codes.len(), "add_into: length mismatch");
-        lane::add_decoded(acc, &self.codes, self.inv());
+        let inv = self.inv();
+        // `[f32; LANES]` blocks: the one quantizer loop the lane-array form
+        // measured faster on. Position-wise, so the bits match a plain loop.
+        let mut ac = acc.chunks_exact_mut(LANES);
+        let mut cc = self.codes.chunks_exact(LANES);
+        for (al, cl) in (&mut ac).zip(&mut cc) {
+            let vals: [f32; LANES] = std::array::from_fn(|j| al[j] + cl[j] as f32 * inv);
+            al.copy_from_slice(&vals);
+        }
+        for (a, &c) in ac.into_remainder().iter_mut().zip(cc.remainder()) {
+            *a += c as f32 * inv;
+        }
     }
 
     /// Wire size in bytes: the scale plus `ceil(log2(2s+1))` bits per
@@ -275,7 +187,8 @@ pub struct ScaledSign;
 impl Quantizer for ScaledSign {
     fn quantize(&mut self, x: &[f32]) -> QuantizedGrad {
         let scale = ops::mean_abs(x);
-        let codes = lane::sign_codes(x);
+        // `+1` where `v >= 0.0` (IEEE comparison, so `-0.0` encodes `+1`).
+        let codes = x.iter().map(|&v| if v >= 0.0 { 1i8 } else { -1 }).collect();
         QuantizedGrad {
             scale,
             codes,
@@ -388,20 +301,23 @@ mod tests {
 
     #[test]
     fn add_into_matches_decode() {
-        let x = grad(5, 64);
-        let g = Qsgd::new(8, 3).quantize(&x);
-        let mut acc = vec![1.0f32; 64];
-        g.add_into(&mut acc);
-        for (a, d) in acc.iter().zip(g.decode()) {
-            assert!((a - 1.0 - d).abs() < 1e-6);
+        // Bitwise, at lengths around the lane width, so full lane blocks
+        // and the ragged tail of `add_into` both run.
+        for d in [0, 1, LANES - 1, LANES, 64, 3 * LANES + 5] {
+            let g = Qsgd::new(8, 3).quantize(&grad(5, d));
+            let mut acc: Vec<f32> = (0..d).map(|i| i as f32 * 0.125 - 4.0).collect();
+            let expected: Vec<f32> = acc.iter().zip(g.decode()).map(|(a, v)| a + v).collect();
+            g.add_into(&mut acc);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&acc), bits(&expected), "d = {d}");
         }
     }
 
-    /// Differential property tests: the simd lane tier of the quantizer
-    /// kernels must be bitwise identical to the scalar reference, for
-    /// arbitrary lengths (full lane chunks and ragged tails alike).
+    /// Property tests of the lane-form `add_into` body against the
+    /// per-element `decode`, for arbitrary lengths (full lane blocks and
+    /// ragged tails alike), and of the sign encoder on signed zero.
     mod lane_tier_properties {
-        use super::super::lanes::{scalar, simd};
+        use super::super::{QuantizedGrad, Quantizer, ScaledSign};
         use proptest::prelude::*;
 
         proptest! {
@@ -410,33 +326,29 @@ mod tests {
             #[test]
             fn decode_and_accumulate_bitwise_identical(
                 codes_raw in prop::collection::vec(0i32..256, 0..200),
-                inv in -4.0f32..4.0,
+                scale in -4.0f32..4.0,
+                levels in 1u8..128,
             ) {
                 let codes: Vec<i8> = codes_raw.iter().map(|&c| (c - 128) as i8).collect();
-                let ds = scalar::decode(&codes, inv);
-                let dv = simd::decode(&codes, inv);
-                prop_assert_eq!(&ds, &dv);
-                let mut accs: Vec<f32> =
-                    (0..codes.len()).map(|i| (i as f32) * 0.125 - 4.0).collect();
-                let mut accv = accs.clone();
-                scalar::add_decoded(&mut accs, &codes, inv);
-                simd::add_decoded(&mut accv, &codes, inv);
-                prop_assert_eq!(&accs, &accv);
-            }
-
-            #[test]
-            fn sign_codes_bitwise_identical(
-                x in prop::collection::vec(-1e3f32..1e3, 0..200),
-            ) {
-                prop_assert_eq!(scalar::sign_codes(&x), simd::sign_codes(&x));
+                let g = QuantizedGrad { scale, codes, levels };
+                let inv = scale / levels as f32;
+                let decoded = g.decode();
+                let expected: Vec<f32> = g.codes.iter().map(|&c| c as f32 * inv).collect();
+                prop_assert_eq!(&decoded, &expected);
+                let mut acc: Vec<f32> =
+                    (0..g.codes.len()).map(|i| (i as f32) * 0.125 - 4.0).collect();
+                let summed: Vec<f32> = acc.iter().zip(&decoded).map(|(a, v)| a + v).collect();
+                g.add_into(&mut acc);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&acc), bits(&summed));
             }
         }
 
         #[test]
         fn sign_codes_agree_on_signed_zero() {
-            let x = [0.0f32, -0.0, 1.0, -1.0];
-            assert_eq!(scalar::sign_codes(&x), vec![1, 1, 1, -1]);
-            assert_eq!(simd::sign_codes(&x), scalar::sign_codes(&x));
+            // IEEE comparison: `-0.0 >= 0.0`, so signed zero encodes `+1`.
+            let g = ScaledSign.quantize(&[0.0f32, -0.0, 1.0, -1.0]);
+            assert_eq!(g.codes, vec![1, 1, 1, -1]);
         }
     }
 }

@@ -13,7 +13,7 @@
 //! `float_determinism` flags order-sensitive `f32` reduction loops
 //! (`let mut acc = 0.0; ... acc += ...` and `.sum::<f32>()`) in the
 //! kernel crates outside the sanctioned fixed-shape reductions — any body
-//! that derives its traversal from `REDUCE_BLOCK` or the SIMD `LANES`
+//! that derives its traversal from `REDUCE_BLOCK` or the lane-width `LANES`
 //! constant is sanctioned, because those kernels pin the reduction tree
 //! shape byte-stably regardless of caller slicing.
 
@@ -277,7 +277,7 @@ pub fn float_determinism(
         let toks = &unit.tokens;
         let (start, end) = sym.body;
         // Sanctioned: the body shapes its traversal with the fixed-size
-        // reduction block or the SIMD lane constant — the reduction tree
+        // reduction block or the lane-width constant — the reduction tree
         // is pinned regardless of input length.
         let sanctioned = (start..=end)
             .any(|i| is_ident(&toks[i], "REDUCE_BLOCK") || is_ident(&toks[i], "LANES"));

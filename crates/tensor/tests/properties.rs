@@ -72,53 +72,6 @@ proptest! {
         prop_assert!(max - min <= 1);
     }
 
-    /// The parallel tier is bitwise identical to the serial tier on every
-    /// kernel it implements — including across REDUCE_BLOCK boundaries and
-    /// above the thread-spawn threshold.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_kernels_equal_serial_bitwise(
-        seed in 0u64..1000,
-        extra in 0usize..1000,
-        thres in 0.0f32..2.0,
-        a in -4.0f32..4.0,
-        k in 1usize..2000,
-    ) {
-        use cloudtrain_tensor::init;
-        // Mix sizes below and above the parallel threshold.
-        let d = if seed.is_multiple_of(2) {
-            ops::REDUCE_BLOCK / 2 + extra
-        } else {
-            ops::parallel::PAR_THRESHOLD + 3 * ops::REDUCE_BLOCK + extra
-        };
-        let mut rng = init::rng_from_seed(seed);
-        let x = init::gradient_like_tensor(d, &mut rng).into_vec();
-
-        prop_assert_eq!(ops::parallel::count_ge(&x, thres), ops::serial::count_ge(&x, thres));
-        prop_assert_eq!(ops::parallel::mean_abs(&x), ops::serial::mean_abs(&x));
-        prop_assert_eq!(ops::parallel::max_abs(&x), ops::serial::max_abs(&x));
-
-        let mut yp = vec![0.5f32; d];
-        let mut ys = yp.clone();
-        ops::parallel::axpy(a, &x, &mut yp);
-        ops::serial::axpy(a, &x, &mut ys);
-        prop_assert_eq!(&yp, &ys);
-        ops::parallel::add_assign(&mut yp, &x);
-        ops::serial::add_assign(&mut ys, &x);
-        prop_assert_eq!(&yp, &ys);
-
-        // Scatter with duplicate indices: per-position order must match.
-        let idx: Vec<u32> = (0..k as u32)
-            .map(|i| i.wrapping_mul(2654435761) % (d as u32))
-            .collect();
-        let vals = ops::gather(&x, &idx);
-        let mut sp = vec![0.0f32; d];
-        let mut ss = sp.clone();
-        ops::parallel::scatter_add(&mut sp, &idx, &vals);
-        ops::serial::scatter_add(&mut ss, &idx, &vals);
-        prop_assert_eq!(sp, ss);
-    }
-
     #[test]
     fn f16_roundtrip_error_is_relative(v in -60000.0f32..60000.0) {
         let r = F16::from_f32(v).to_f32();

@@ -4,10 +4,8 @@
 #  * BENCH_topk.json — histogram vs naive MSTopK threshold search at
 #    d = 1M and d = 25M (best-of-3 release-mode wall time).
 #  * BENCH_e2e.json — end-to-end steps/sec matrix across the runtime
-#    optimization axes (fusion buckets, fused compress–reduce). The lane
-#    tier is a compile-time axis, so the snapshot binary is built twice:
-#    the scalar build writes the baseline, and the simd build reads it
-#    back to compute the cross-tier headline speedup.
+#    optimization axes (fusion buckets, fused compress–reduce), from one
+#    release build of the snapshot binary.
 #
 # Usage: scripts/bench_snapshot.sh [topk-path] [e2e-path]
 #        (defaults: BENCH_topk.json BENCH_e2e.json)
@@ -19,13 +17,6 @@ cargo build --release -q -p cloudtrain-bench --bin bench_topk_snapshot
 cargo run --release -q -p cloudtrain-bench --bin bench_topk_snapshot -- \
     "${1:-BENCH_topk.json}"
 
-e2e_baseline=$(mktemp)
-trap 'rm -f "$e2e_baseline"' EXIT
-
-echo "==> BENCH_e2e: scalar lane tier (baseline)"
+echo "==> BENCH_e2e: end-to-end steps/sec matrix"
 cargo build --release -q -p cloudtrain-bench --bin e2e_snapshot
-./target/release/e2e_snapshot "$e2e_baseline"
-
-echo "==> BENCH_e2e: simd lane tier vs scalar baseline"
-cargo build --release -q -p cloudtrain-bench --features simd --bin e2e_snapshot
-./target/release/e2e_snapshot "${2:-BENCH_e2e.json}" "$e2e_baseline"
+./target/release/e2e_snapshot "${2:-BENCH_e2e.json}"

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CI entry point: format check, lints, docs, and the full test suite with
-# the {simd} x {parallel} feature product plus a no-default-features build.
-# Every mode ends with a per-stage timing table.
+# CI entry point: format check, lints, docs, and the full test suite, plus
+# a no-default-features build. Every mode ends with a per-stage timing
+# table.
 #
 # Usage:
-#   scripts/ci.sh            # fmt + clippy/test feature matrix + docs +
-#                            # cloudtrain lint + no-default-features build
+#   scripts/ci.sh            # fmt + clippy + tests + docs + cloudtrain
+#                            # lint + no-default-features build
 #   scripts/ci.sh lint       # cloudtrain lint only: runs the analyzer twice
 #                            # with --deny and requires both the table and
 #                            # the JSONL report to be byte-identical
@@ -16,12 +16,10 @@
 #                            # then the observability snapshot, held to
 #                            # the same twice-run byte-identical bar, and
 #                            # snapshots BENCH_obs.json; then the e2e
-#                            # steps/sec snapshot: scalar build run twice
-#                            # (byte-identical fingerprints), simd build
-#                            # compared against it (fingerprints must
-#                            # match the scalar tier's bit for bit), and
-#                            # the >= 1.5x headline speedup ceiling
-#                            # enforced on BENCH_e2e.json, plus the
+#                            # steps/sec snapshot: run twice
+#                            # (byte-identical fingerprints), snapshots
+#                            # BENCH_e2e.json, and enforces the >= 1.5x
+#                            # headline speedup ceiling, plus the
 #                            # autotune routing floors (fused_speedup
 #                            # >= 0.85, autotune_efficiency >= 0.9); the
 #                            # autotuner snapshot: run twice with the full
@@ -169,36 +167,25 @@ print(f"  {len(rows)} gauntlet rows")' 2>/dev/null \
 print("  {} trace lines, fnv1a {}".format(s["jsonl_lines"], s["jsonl_fnv1a"]))' 2>/dev/null \
         || echo "  (python3 unavailable; snapshot written unvalidated)"
 
-    stage "e2e snapshot: build (scalar lane tier)"
+    stage "e2e snapshot: build"
     cargo build --release -q -p cloudtrain-bench --bin e2e_snapshot
 
-    stage "e2e snapshot: scalar run twice, require byte-identical fingerprints"
+    stage "e2e snapshot: run twice, require byte-identical fingerprints -> BENCH_e2e.json"
     e2e_a=$(mktemp)
     e2e_b=$(mktemp)
     trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_a.json" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$e2e_a.simd" "$e2e_a.simdfp"' EXIT
-    ./target/release/e2e_snapshot "$e2e_a.json" > "$e2e_a"
+        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp"' EXIT
+    ./target/release/e2e_snapshot BENCH_e2e.json > "$e2e_a"
     ./target/release/e2e_snapshot "$e2e_b.json" > "$e2e_b"
     sed -n '/^E2E-BEGIN$/,/^E2E-END$/p' "$e2e_a" > "$e2e_a.fp"
     sed -n '/^E2E-BEGIN$/,/^E2E-END$/p' "$e2e_b" > "$e2e_b.fp"
     cmp "$e2e_a.fp" "$e2e_b.fp"
-
-    stage "e2e snapshot: build (simd lane tier)"
-    cargo build --release -q -p cloudtrain-bench --features simd --bin e2e_snapshot
-
-    stage "e2e snapshot: simd vs scalar baseline -> BENCH_e2e.json"
-    ./target/release/e2e_snapshot BENCH_e2e.json "$e2e_a.json" > "$e2e_a.simd"
-    sed -n '/^E2E-BEGIN$/,/^E2E-END$/p' "$e2e_a.simd" > "$e2e_a.simdfp"
-    # The lane tiers must agree bit for bit on everything but the tier tag.
-    cmp <(grep -v '^lane_tier=' "$e2e_a.fp") <(grep -v '^lane_tier=' "$e2e_a.simdfp")
-    grep -E 'speedup|E2E' "$e2e_a.simd" | grep -v '^E2E-' || true
+    grep -E 'speedup|E2E' "$e2e_a" | grep -v '^E2E-' || true
 
     stage "e2e snapshot: enforce the 1.5x steps/sec ceiling + autotune routing floors"
     if command -v python3 >/dev/null 2>&1; then
         python3 -c 'import json
 s = json.load(open("BENCH_e2e.json"))
-assert s["lane_tier"] == "simd" and s["baseline_lane_tier"] == "scalar", s
 speedup = s["speedup_vs_baseline"]
 assert speedup >= 1.5, f"headline speedup {speedup:.2f}x below the 1.5x ceiling"
 print(f"  headline speedup {speedup:.2f}x (ceiling 1.5x)")
@@ -227,8 +214,7 @@ print(f"  autotuned vs best hand-picked {eff:.2f}x (floor 0.9x, tuner fuses: {tu
     at_a=$(mktemp)
     at_b=$(mktemp)
     trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_a.json" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$e2e_a.simd" "$e2e_a.simdfp" "$at_a" "$at_b"' EXIT
+        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" "$at_a" "$at_b"' EXIT
     ./target/release/autotune_snapshot > "$at_a"
     ./target/release/autotune_snapshot > "$at_b"
     cmp "$at_a" "$at_b"
@@ -260,8 +246,7 @@ print(f"  {cells} autotune cells, {n} O(k)-vs-HiTopKComm crossover points valida
     tails_a=$(mktemp)
     tails_b=$(mktemp)
     trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_a.json" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$e2e_a.simd" "$e2e_a.simdfp" "$at_a" "$at_b" "$tails_a" "$tails_b"' EXIT
+        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" "$at_a" "$at_b" "$tails_a" "$tails_b"' EXIT
     ./target/release/tail_gauntlet > "$tails_a"
     ./target/release/tail_gauntlet > "$tails_b"
     cmp "$tails_a" "$tails_b"
@@ -294,8 +279,7 @@ print(f"  reorder predicted gain {gain:.2f}x (ceiling 1.2x)")'
     el_a=$(mktemp)
     el_b=$(mktemp)
     trap 'rm -f "$out_a" "$out_b" "$obs_a" "$obs_b" "$obs_a.jsonl" "$obs_b.jsonl" \
-        "$e2e_a" "$e2e_b" "$e2e_a.json" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" \
-        "$e2e_a.simd" "$e2e_a.simdfp" "$at_a" "$at_b" "$tails_a" "$tails_b" \
+        "$e2e_a" "$e2e_b" "$e2e_b.json" "$e2e_a.fp" "$e2e_b.fp" "$at_a" "$at_b" "$tails_a" "$tails_b" \
         "$el_a" "$el_b" "$el_a.jsonl" "$el_b.jsonl"' EXIT
     ./target/release/elastic_gauntlet > "$el_a"
     ./target/release/elastic_gauntlet > "$el_b"
@@ -377,18 +361,8 @@ cargo fmt --all -- --check
 stage "cargo build (no default features)"
 cargo build --workspace -q --no-default-features
 
-stage "cargo clippy (default features)"
+stage "cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
-
-stage "cargo clippy (parallel kernels)"
-cargo clippy --workspace --all-targets --features cloudtrain-tensor/parallel -- -D warnings
-
-stage "cargo clippy (simd lane tier)"
-cargo clippy --workspace --all-targets --features cloudtrain/simd -- -D warnings
-
-stage "cargo clippy (simd + parallel)"
-cargo clippy --workspace --all-targets \
-    --features cloudtrain/simd,cloudtrain-tensor/parallel -- -D warnings
 
 stage "cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
@@ -396,17 +370,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 stage "cargo test --doc"
 cargo test --workspace --doc -q
 
-stage "cargo test (default features)"
+stage "cargo test"
 cargo test --workspace -q
-
-stage "cargo test (parallel kernels)"
-cargo test --workspace -q --features cloudtrain-tensor/parallel
-
-stage "cargo test (simd lane tier)"
-cargo test --workspace -q --features cloudtrain/simd
-
-stage "cargo test (simd + parallel)"
-cargo test --workspace -q --features cloudtrain/simd,cloudtrain-tensor/parallel
 
 timing_summary
 echo "==> ci.sh: all green"
